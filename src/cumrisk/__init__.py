@@ -53,7 +53,6 @@ from .simulate import (
     SimulationResult,
     StepCounts,
     empirical_series,
-    simulate,
 )
 
 __version__ = "0.1.0"
@@ -105,5 +104,4 @@ __all__ = [
     "SimulationResult",
     "StepCounts",
     "empirical_series",
-    "simulate",
 ]

@@ -9,8 +9,8 @@ nothing was written to stderr.
 """
 
 import argparse
-import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .core import (
@@ -20,10 +20,9 @@ from .core import (
     RiskSeries,
     compare,
     conditional_risk,
-    red_probability,
     risk_series,
 )
-from .io import emit_comparison, emit_series, float_repr, parse_cohort
+from .io import ParseError, _emit_rows, emit_comparison, emit_series, parse_cohort
 from .simulate import SimulationConfig, empirical_series, simulate
 
 __all__ = ["main", "NotMultipleOfFive"]
@@ -36,7 +35,11 @@ class NotMultipleOfFive(CumriskError):
 
 
 def _load_cohort(path: str, args) -> "Cohort":
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text ({exc.reason})",
+                         line=exc.object.count(b"\n", 0, exc.start) + 1) from None
     meta = CohortMeta(region=args.region, year=args.year, sex=args.sex)
     return parse_cohort(text, meta)
 
@@ -98,35 +101,15 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _render_simulation(result, analytic: RiskSeries, format: str) -> str:
-    rows = []
-    for emp, step in zip(empirical_series(result), analytic.steps):
-        rows.append(
-            {
-                "t": step.t,
-                "age_label": step.age_label,
-                "empirical_p_red": emp.p_red,
-                "analytic_p_red": step.p_red,
-                "diff": emp.p_red - step.p_red,
-            }
-        )
-    if format == "json":
-        payload = {"seed": result.seed, "n_bulbs": result.n_bulbs, "steps": rows}
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(SIMULATION_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row['t']},{row['age_label']},{float_repr(row['empirical_p_red'])},"
-            f"{float_repr(row['analytic_p_red'])},{float_repr(row['diff'])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_simulate(args) -> int:
     cohort = _load_cohort(args.dataset, args)
-    config = SimulationConfig(cohort=cohort, n_bulbs=args.bulbs, seed=args.seed)
-    result = simulate(config)
-    _write_output(_render_simulation(result, risk_series(cohort), args.format), args.out)
+    result = simulate(SimulationConfig(cohort=cohort, n_bulbs=args.bulbs, seed=args.seed))
+    rows = [
+        (step.t, step.age_label, emp.p_red, step.p_red, emp.p_red - step.p_red)
+        for emp, step in zip(empirical_series(result), risk_series(cohort).steps)
+    ]
+    head = {"seed": result.seed, "n_bulbs": result.n_bulbs}
+    _write_output(_emit_rows(SIMULATION_COLUMNS, rows, args.format, head, None), args.out)
     return 0
 
 
@@ -138,15 +121,12 @@ def _cmd_figures(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    transitions = ["t,age_label,b"]
-    red = ["t,age_label,p_red"]
-    for step in series.steps:
-        transitions.append(f"{step.t},{step.age_label},{float_repr(step.b)}")
-        red.append(f"{step.t},{step.age_label},{float_repr(step.p_red)}")
+    def figure(*columns):
+        return _emit_rows(columns, map(attrgetter(*columns), series.steps), "csv", {}, None)
 
     outputs = {
-        "fig4_transitions.csv": "\n".join(transitions) + "\n",
-        "fig5_red.csv": "\n".join(red) + "\n",
+        "fig4_transitions.csv": figure("t", "age_label", "b"),
+        "fig5_red.csv": figure("t", "age_label", "p_red"),
         "fig6_summary.csv": emit_series(series, "csv"),
     }
     for name, document in outputs.items():

@@ -16,6 +16,7 @@ like the classical cumulative risk, assumes cancer is the only cause of death.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -24,6 +25,9 @@ __all__ = [
     "CumriskError",
     "InvalidRecord",
     "InvalidCohort",
+    "NegativeCount",
+    "InconsistentRecord",
+    "NonContiguousAges",
     "OutOfRange",
     "NegativeRate",
     "EmptyOverlap",
@@ -52,7 +56,28 @@ PROB_TOL = 1e-12
 
 
 class CumriskError(ValueError):
-    """Base class for every validation or domain error in this package."""
+    """Base class for every validation or domain error in this package.
+
+    ``index`` (the 1-based age group), ``line`` (of the input document) and
+    ``column`` locate the fault where it is known; the message starts with
+    the line, or else the group, and the column.
+    """
+
+    def __init__(self, message: str, *, index: int | None = None, column: str | None = None,
+                 line: int | None = None):
+        super().__init__(message)
+        self.index = index
+        self.column = column
+        self.line = line
+
+    def __str__(self) -> str:
+        where = []
+        if self.line is not None or self.index is not None:
+            where.append(f"line {self.line}" if self.line is not None else f"group {self.index}")
+        if self.column is not None:
+            where.append(f"column {self.column!r}")
+        message = super().__str__()
+        return f"{', '.join(where)}: {message}" if where else message
 
 
 class InvalidRecord(CumriskError):
@@ -61,6 +86,19 @@ class InvalidRecord(CumriskError):
 
 class InvalidCohort(CumriskError):
     """Records do not form a contiguous, correctly indexed cohort."""
+
+
+class NegativeCount(InvalidRecord):
+    """A count is below zero."""
+
+
+class InconsistentRecord(InvalidRecord):
+    """Counts that cannot describe a population: no one at risk, or 5x > n + 5dc."""
+
+
+class NonContiguousAges(InvalidRecord, InvalidCohort):
+    """Groups are not contiguous five-year spans from age 0: a record's own
+    width or alignment, or a gap or a group after the open-ended one."""
 
 
 class OutOfRange(CumriskError):
@@ -75,6 +113,12 @@ class EmptyOverlap(CumriskError):
     """Cohort comparison needs at least one step on both sides."""
 
 
+def _is_number(value, kind) -> bool:
+    # bool is an int subclass, but True is no count or age. This ABC test is
+    # slow, so callers first accept the exact type the parser makes.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AgeGroupRecord:
     """One five-year age group of an incidence table.
@@ -82,7 +126,9 @@ class AgeGroupRecord:
     ``age_high`` is exclusive, so the 0-4 years group is ``age_low=0,
     age_high=5``; ``None`` marks the open-ended final group (85+).
     ``incidence`` and the death counts are annual figures on a basis of
-    ``population`` persons alive and never diagnosed.
+    ``population`` persons alive and never diagnosed. ``other_deaths`` is
+    validated and carried through parsing and emission, but no estimate
+    uses it.
     """
 
     index: int
@@ -91,7 +137,7 @@ class AgeGroupRecord:
     population: float
     incidence: float
     cancer_deaths: float
-    other_deaths: float | None = None  # stored for completeness, never used
+    other_deaths: float | None = None
 
     @property
     def is_open(self) -> bool:
@@ -105,31 +151,34 @@ class AgeGroupRecord:
 
     def validate(self) -> None:
         """Raise InvalidRecord describing the first violated invariant."""
-        for name in ("population", "incidence", "cancer_deaths"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidRecord(f"group {self.index}: {name} must be a finite number")
-        if self.other_deaths is not None and not math.isfinite(self.other_deaths):
-            raise InvalidRecord(f"group {self.index}: other_deaths must be a finite number")
+        for name in ("population", "incidence", "cancer_deaths", "other_deaths"):
+            value = getattr(self, name)
+            if value is None and name == "other_deaths":
+                continue
+            if type(value) is not float and not _is_number(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidRecord(f"{name} must be a finite real number, got {value!r}",
+                                    index=self.index, column=name)
+            if value < 0:
+                raise NegativeCount(f"{name} must be >= 0, got {value!r}", index=self.index, column=name)
         if self.population <= 0:
-            raise InvalidRecord(f"group {self.index}: population must be positive, got {self.population!r}")
-        if self.incidence < 0:
-            raise InvalidRecord(f"group {self.index}: incidence must be >= 0, got {self.incidence!r}")
-        if self.cancer_deaths < 0:
-            raise InvalidRecord(f"group {self.index}: cancer_deaths must be >= 0, got {self.cancer_deaths!r}")
-        if self.other_deaths is not None and self.other_deaths < 0:
-            raise InvalidRecord(f"group {self.index}: other_deaths must be >= 0, got {self.other_deaths!r}")
+            raise InconsistentRecord("population must be positive", index=self.index, column="population")
         if 5.0 * self.incidence > self.population + 5.0 * self.cancer_deaths:
-            raise InvalidRecord(
-                f"group {self.index}: 5x > n + 5dc "
-                f"(5*{self.incidence!r} exceeds the at-risk pool "
-                f"{self.population!r} + 5*{self.cancer_deaths!r})"
+            raise InconsistentRecord(
+                f"5x > n + 5dc (5*{self.incidence!r} exceeds the at-risk pool "
+                f"{self.population!r} + 5*{self.cancer_deaths!r})",
+                index=self.index,
+                column="incidence",
             )
-        if self.age_low < 0 or self.age_low % 5 != 0:
-            raise InvalidRecord(f"group {self.index}: age_low must be a nonnegative multiple of 5")
-        if not self.is_open and self.age_high - self.age_low != 5:
-            raise InvalidRecord(
-                f"group {self.index}: closed groups must span exactly 5 years "
-                f"({self.age_low}..{self.age_high})"
+        low, high = self.age_low, self.age_high
+        if type(low) is not int and not _is_number(low, numbers.Integral) or low < 0 or low % 5:
+            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {low!r}",
+                                    index=self.index, column="age_low")
+        if high is not None and (type(high) is not int and not _is_number(high, numbers.Integral)
+                                 or high - low != 5):
+            raise NonContiguousAges(
+                f"closed groups must span exactly 5 years, got {low}..{high!r}",
+                index=self.index,
+                column="age_high",
             )
 
 
@@ -142,7 +191,7 @@ class CohortMeta:
     sex: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cohort:
     """Ordered, validated age-group records for one region/year/sex.
 
@@ -150,29 +199,53 @@ class Cohort:
     0, and an open-ended group may only appear last. An empty record list is
     permitted at this level (file parsing rejects it) so that downstream
     operations can report it in their own terms.
+
+    Construction is the one place records are validated, and the same pass
+    builds the prefixes every query reads: ``b[i]`` is the transition
+    probability of group i + 1, while ``p_off[t]`` (the probability of no
+    diagnosis by age 5t) and ``cum_rate[t]`` have index 0 at birth.
     """
 
     records: tuple[AgeGroupRecord, ...]
     meta: CohortMeta = field(default_factory=CohortMeta)
+    b: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    p_off: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    cum_rate: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.records = tuple(self.records)
+        records = tuple(self.records)
+        b, p_off, cum_rate = [], [1.0], [0.0]
+        off = 1.0
+        annual_sum = 0.0
         expected_low = 0
-        for position, record in enumerate(self.records, start=1):
+        for position, record in enumerate(records, start=1):
             record.validate()
             if record.index != position:
-                raise InvalidCohort(
-                    f"record at position {position} has index {record.index}; indices must run 1..G"
-                )
+                raise InvalidCohort(f"record at position {position} has index {record.index}; "
+                                    "indices must run 1..G", index=position)
+            if expected_low is None:
+                raise NonContiguousAges("no group may follow an open-ended group", index=position)
             if record.age_low != expected_low:
-                raise InvalidCohort(
-                    f"group {record.index}: age_low {record.age_low} breaks contiguity "
-                    f"(expected {expected_low})"
-                )
-            if record.is_open and position != len(self.records):
-                raise InvalidCohort(f"group {record.index}: open-ended group must be last")
-            if not record.is_open:
-                expected_low = record.age_high
+                raise NonContiguousAges(f"age_low {record.age_low} breaks contiguity (expected "
+                                        f"{expected_low})", index=position, column="age_low")
+            step_b = _transition_probability(record)
+            off *= 1.0 - step_b
+            annual_sum += record.incidence / record.population
+            rate = 5.0 * annual_sum
+            if not 0.0 <= step_b <= 1.0:
+                raise InconsistentRecord(f"5x / (n + 5dc) = {step_b!r} is not a probability",
+                                         index=position, column="incidence")
+            if not math.isfinite(rate):
+                raise InconsistentRecord(f"the cumulative rate overflows to {rate!r}",
+                                         index=position, column="incidence")
+            b.append(step_b)
+            p_off.append(off)
+            cum_rate.append(rate)
+            expected_low = record.age_high  # None after an open-ended group
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "b", tuple(b))
+        object.__setattr__(self, "p_off", tuple(p_off))
+        object.__setattr__(self, "cum_rate", tuple(cum_rate))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -185,20 +258,16 @@ class Cohort:
 class TransitionMatrix:
     """Row-stochastic 2x2 one-step matrix; RED (second state) is absorbing.
 
-    ``p10`` must be exactly 0 and ``p11`` exactly 1: a diagnosis is never
-    undone. The OFF row must sum to 1 within PROB_TOL.
+    The RED row is fixed: a diagnosis is never undone. The OFF row must sum
+    to 1 within PROB_TOL.
     """
 
     p00: float
     p01: float
-    p10: float = 0.0
-    p11: float = 1.0
+    p10 = 0.0
+    p11 = 1.0
 
     def __post_init__(self):
-        if self.p10 != 0.0:
-            raise CumriskError(f"p10 must be exactly 0 (RED never reverts), got {self.p10!r}")
-        if self.p11 != 1.0:
-            raise CumriskError(f"p11 must be exactly 1 (RED is absorbing), got {self.p11!r}")
         for name in ("p00", "p01"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -290,7 +359,7 @@ class ComparisonReport:
 
 
 def _transition_probability(record: AgeGroupRecord) -> float:
-    # 5x / (n + 5dc); the record is assumed valid (cohorts validate on build)
+    # 5x / (n + 5dc); callers validate the record first
     return 5.0 * record.incidence / (record.population + 5.0 * record.cancer_deaths)
 
 
@@ -313,7 +382,7 @@ def estimate_transition(record: AgeGroupRecord) -> TransitionMatrix:
 
 def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:
     """Estimated matrices for every group of the cohort, in step order."""
-    return [estimate_transition(record) for record in cohort.records]
+    return [TransitionMatrix(p00=1.0 - b, p01=b) for b in cohort.b]
 
 
 def _check_step(cohort: Cohort, t: int) -> None:
@@ -330,10 +399,7 @@ def cumulative_rate(cohort: Cohort, t: int) -> float:
         OutOfRange: unless 1 <= t <= number of groups.
     """
     _check_step(cohort, t)
-    annual_sum = 0.0
-    for record in cohort.records[:t]:
-        annual_sum += record.incidence / record.population
-    return 5.0 * annual_sum
+    return cohort.cum_rate[t]
 
 
 def cumulative_risk_from_rate(rate: float) -> float:
@@ -373,38 +439,28 @@ def red_probability(cohort: Cohort, t: int) -> float:
         OutOfRange: unless 1 <= t <= number of groups.
     """
     _check_step(cohort, t)
-    off = 1.0
-    for record in cohort.records[:t]:
-        off *= 1.0 - _transition_probability(record)
-    return 1.0 - off
+    return 1.0 - cohort.p_off[t]
 
 
 def risk_series(cohort: Cohort) -> RiskSeries:
     """Assemble the full per-step table: b, cumulative rate/risk, state split.
 
-    The RED/OFF columns come from the same closed-form product as
-    ``red_probability``, so the two agree exactly.
+    The RED/OFF columns come from the same prefixes as ``red_probability``,
+    so the two agree exactly.
     """
-    steps = []
-    off = 1.0
-    annual_sum = 0.0
-    for record in cohort.records:
-        b = _transition_probability(record)
-        off *= 1.0 - b
-        annual_sum += record.incidence / record.population
-        rate = 5.0 * annual_sum
-        steps.append(
-            RiskStep(
-                t=record.index,
-                age_label=record.age_label,
-                b=b,
-                cum_rate=rate,
-                cum_risk=cumulative_risk_from_rate(rate),
-                p_red=1.0 - off,
-                p_off=off,
-            )
+    prefixes = zip(cohort.records, cohort.b, cohort.cum_rate[1:], cohort.p_off[1:])
+    return RiskSeries([
+        RiskStep(
+            t=record.index,
+            age_label=record.age_label,
+            b=b,
+            cum_rate=rate,
+            cum_risk=cumulative_risk_from_rate(rate),
+            p_red=1.0 - off,
+            p_off=off,
         )
-    return RiskSeries(steps)
+        for record, b, rate, off in prefixes
+    ])
 
 
 def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> float:
@@ -412,7 +468,9 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
 
     Conditions on still being OFF at the end of ``current_step`` (step 0 is
     birth), so ``conditional_risk(cohort, 0, t)`` equals
-    ``red_probability(cohort, t)``.
+    ``red_probability(cohort, t)``: both multiply the same survival factors
+    from 1.0. The window is multiplied out rather than taken as a ratio of
+    prefixes, which would divide by zero after a group with b = 1.
 
     Raises:
         OutOfRange: unless 0 <= current_step, 1 <= horizon_steps and
@@ -429,8 +487,8 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
             f"cohort's {groups} groups"
         )
     off = 1.0
-    for record in cohort.records[current_step:current_step + horizon_steps]:
-        off *= 1.0 - _transition_probability(record)
+    for b in cohort.b[current_step:current_step + horizon_steps]:
+        off *= 1.0 - b
     return 1.0 - off
 
 

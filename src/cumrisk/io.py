@@ -10,14 +10,24 @@ parse error names the offending line and column.
 import csv
 import json
 import math
+from dataclasses import fields
+from io import StringIO
+from operator import attrgetter
 
 from .core import (
     AgeGroupRecord,
     Cohort,
     CohortMeta,
     ComparisonReport,
+    ComparisonRow,
     CumriskError,
+    InconsistentRecord,
+    InvalidCohort,
+    InvalidRecord,
+    NegativeCount,
+    NonContiguousAges,
     RiskSeries,
+    RiskStep,
 )
 
 __all__ = [
@@ -41,31 +51,12 @@ __all__ = [
 
 REQUIRED_COLUMNS = ("age_low", "age_high", "population", "incidence", "cancer_deaths")
 OPTIONAL_COLUMNS = ("other_deaths",)
-SERIES_COLUMNS = ("t", "age_label", "b", "cum_rate", "cum_risk", "p_red", "p_off")
-COMPARISON_COLUMNS = (
-    "t",
-    "age_label",
-    "delta_b",
-    "delta_cum_rate",
-    "delta_cum_risk",
-    "delta_p_red",
-    "delta_p_off",
-)
+SERIES_COLUMNS = tuple(f.name for f in fields(RiskStep))
+COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
 class ParseError(CumriskError):
-    """A cohort document failed validation; pinpoints line and column."""
-
-    def __init__(self, message: str, line: int | None = None, column: str | None = None):
-        self.line = line
-        self.column = column
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if column is not None:
-            where.append(f"column '{column}'")
-        prefix = ", ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+    """A cohort document is not a readable table; pinpoints line and column."""
 
 
 class MissingColumn(ParseError):
@@ -73,18 +64,6 @@ class MissingColumn(ParseError):
 
 
 class MalformedNumber(ParseError):
-    pass
-
-
-class NegativeCount(ParseError):
-    pass
-
-
-class NonContiguousAges(ParseError):
-    pass
-
-
-class InconsistentRecord(ParseError):
     pass
 
 
@@ -128,8 +107,6 @@ def _count_cell(cells, colmap, column, line) -> float:
         raise MalformedNumber(f"expected a number, got {raw!r}", line=line, column=column) from None
     if not math.isfinite(value):
         raise MalformedNumber(f"expected a finite number, got {raw!r}", line=line, column=column)
-    if value < 0:
-        raise NegativeCount(f"counts must be >= 0, got {raw!r}", line=line, column=column)
     return value
 
 
@@ -137,108 +114,97 @@ def parse_cohort(text: str, meta: CohortMeta | None = None) -> Cohort:
     """Parse a cohort CSV document into a validated Cohort.
 
     Group indices are assigned 1..G in file order. Blank lines are skipped;
-    unknown extra columns are ignored.
+    unknown extra columns are ignored. The parser reads the table; building
+    the Cohort validates it, and an error there is given the line of the
+    group it names.
     """
-    reader = csv.reader(text.lstrip("﻿").splitlines())
+    # csv finds the line ends itself; str.splitlines would also break at form feeds
+    reader = csv.reader(StringIO(text.lstrip("\ufeff"), newline=""))
     colmap: dict[str, int] | None = None
     records: list[AgeGroupRecord] = []
-    expected_low = 0
-    open_group_seen = False
-    for row in reader:
-        line = reader.line_num
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if colmap is None:
-            names = [cell.lower() for cell in cells]
-            colmap = {}
-            for idx, name in enumerate(names):
-                if name in colmap:
-                    raise ParseError("duplicate column", line=line, column=name)
-                colmap[name] = idx
-            for name in REQUIRED_COLUMNS:
-                if name not in colmap:
-                    raise MissingColumn("required column missing from header", line=line, column=name)
-            continue
-        if open_group_seen:
-            raise NonContiguousAges(
-                "no rows may follow an open-ended group", line=line, column="age_high"
+    lines: list[int] = []  # the line of each group, in index order
+    try:
+        for row in reader:
+            line = reader.line_num
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if colmap is None:
+                names = [cell.lower() for cell in cells]
+                colmap = {}
+                for idx, name in enumerate(names):
+                    if name in colmap:
+                        raise ParseError("duplicate column", line=line, column=name)
+                    colmap[name] = idx
+                for name in REQUIRED_COLUMNS:
+                    if name not in colmap:
+                        raise MissingColumn("required column missing from header",
+                                            line=line, column=name)
+                continue
+            age_low = _int_cell(cells, colmap, "age_low", line)
+            open_group = _cell(cells, colmap, "age_high", line).lower() == "open"
+            other_idx = colmap.get("other_deaths", len(cells))  # absent or empty: not given
+            other_given = other_idx < len(cells) and cells[other_idx] != ""
+            records.append(
+                AgeGroupRecord(
+                    index=len(records) + 1,
+                    age_low=age_low,
+                    age_high=None if open_group else _int_cell(cells, colmap, "age_high", line),
+                    population=_count_cell(cells, colmap, "population", line),
+                    incidence=_count_cell(cells, colmap, "incidence", line),
+                    cancer_deaths=_count_cell(cells, colmap, "cancer_deaths", line),
+                    other_deaths=_count_cell(cells, colmap, "other_deaths", line) if other_given else None,
+                )
             )
-        age_low = _int_cell(cells, colmap, "age_low", line)
-        high_raw = _cell(cells, colmap, "age_high", line)
-        if high_raw.lower() == "open":
-            age_high = None
-            open_group_seen = True
-        else:
-            age_high = _int_cell(cells, colmap, "age_high", line)
-        population = _count_cell(cells, colmap, "population", line)
-        incidence = _count_cell(cells, colmap, "incidence", line)
-        cancer_deaths = _count_cell(cells, colmap, "cancer_deaths", line)
-        other_deaths = None
-        if "other_deaths" in colmap and colmap["other_deaths"] < len(cells):
-            raw = cells[colmap["other_deaths"]]
-            if raw:
-                other_deaths = _count_cell(cells, colmap, "other_deaths", line)
-        if age_low != expected_low:
-            raise NonContiguousAges(
-                f"expected age_low {expected_low} (groups are contiguous from 0), got {age_low}",
-                line=line,
-                column="age_low",
-            )
-        if age_high is not None and age_high - age_low != 5:
-            raise NonContiguousAges(
-                f"closed groups must span exactly 5 years, got {age_low}..{age_high}",
-                line=line,
-                column="age_high",
-            )
-        if population <= 0:
-            raise InconsistentRecord("population must be positive", line=line, column="population")
-        if 5.0 * incidence > population + 5.0 * cancer_deaths:
-            raise InconsistentRecord(
-                "5x > n + 5dc (five times the annual incidence exceeds the at-risk pool)",
-                line=line,
-                column="incidence",
-            )
-        records.append(
-            AgeGroupRecord(
-                index=len(records) + 1,
-                age_low=age_low,
-                age_high=age_high,
-                population=population,
-                incidence=incidence,
-                cancer_deaths=cancer_deaths,
-                other_deaths=other_deaths,
-            )
-        )
-        if age_high is not None:
-            expected_low = age_high
+            lines.append(line)
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
     if not records:
         raise EmptyCohort("no data rows found")
-    return Cohort(records=records, meta=meta or CohortMeta())
+    try:
+        return Cohort(records=records, meta=meta or CohortMeta())
+    except (InvalidRecord, InvalidCohort) as exc:
+        exc.line = lines[exc.index - 1]
+        raise
 
 
 def emit_cohort(cohort: Cohort) -> str:
     """Render a cohort back into the ingestion format, numerically lossless."""
     with_other = any(record.other_deaths is not None for record in cohort.records)
-    columns = list(REQUIRED_COLUMNS) + (["other_deaths"] if with_other else [])
-    lines = [",".join(columns)]
+    columns = REQUIRED_COLUMNS + (OPTIONAL_COLUMNS if with_other else ())
+    rows = []
     for record in cohort.records:
-        row = [
-            str(record.age_low),
-            "open" if record.is_open else str(record.age_high),
+        row = (
+            record.age_low,
+            "open" if record.is_open else record.age_high,
             _count_repr(record.population),
             _count_repr(record.incidence),
             _count_repr(record.cancer_deaths),
-        ]
+        )
         if with_other:
-            row.append("" if record.other_deaths is None else _count_repr(record.other_deaths))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            row += ("" if record.other_deaths is None else _count_repr(record.other_deaths),)
+        rows.append(row)
+    return _emit_rows(columns, rows, "csv", {}, None)
 
 
-def _check_format(format: str) -> None:
-    if format not in ("csv", "json"):
+def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> str:
+    """Render rows of values, given in column order, as CSV or as JSON.
+
+    Floats are written at full precision (str of a float is its shortest
+    round-trip repr), so parsing them back recovers the exact doubles. JSON
+    writes the ``head`` items before the "steps" list; CSV writes a
+    ``comment`` as a leading "# " line.
+    """
+    if format == "json":
+        steps = [dict(zip(columns, values)) for values in rows]
+        return json.dumps({**head, "steps": steps}, indent=2) + "\n"
+    if format != "csv":
         raise CumriskError(f"unknown output format {format!r} (expected 'csv' or 'json')")
+    template = ",".join(["{}"] * len(columns))
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(columns))
+    lines.extend(template.format(*values) for values in rows)
+    return "\n".join(lines) + "\n"
 
 
 def emit_series(series: RiskSeries, format: str = "csv") -> str:
@@ -247,28 +213,7 @@ def emit_series(series: RiskSeries, format: str = "csv") -> str:
     Floats are written at full precision: parsing them back recovers the
     exact doubles. Identical series produce byte-identical documents.
     """
-    _check_format(format)
-    rows = [
-        {
-            "t": step.t,
-            "age_label": step.age_label,
-            "b": step.b,
-            "cum_rate": step.cum_rate,
-            "cum_risk": step.cum_risk,
-            "p_red": step.p_red,
-            "p_off": step.p_off,
-        }
-        for step in series.steps
-    ]
-    if format == "json":
-        return json.dumps({"steps": rows}, indent=2) + "\n"
-    lines = [",".join(SERIES_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row['t']},{row['age_label']},{float_repr(row['b'])},{float_repr(row['cum_rate'])},"
-            f"{float_repr(row['cum_risk'])},{float_repr(row['p_red'])},{float_repr(row['p_off'])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _emit_rows(SERIES_COLUMNS, map(attrgetter(*SERIES_COLUMNS), series.steps), format, {}, None)
 
 
 def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:
@@ -277,38 +222,10 @@ def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:
     CSV carries a leading comment line when the cohorts had different
     lengths; JSON always carries both lengths and the truncated flag.
     """
-    _check_format(format)
-    rows = [
-        {
-            "t": row.t,
-            "age_label": row.age_label,
-            "delta_b": row.delta_b,
-            "delta_cum_rate": row.delta_cum_rate,
-            "delta_cum_risk": row.delta_cum_risk,
-            "delta_p_red": row.delta_p_red,
-            "delta_p_off": row.delta_p_off,
-        }
-        for row in report.rows
-    ]
-    if format == "json":
-        payload = {
-            "steps_a": report.steps_a,
-            "steps_b": report.steps_b,
-            "truncated": report.truncated,
-            "steps": rows,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = []
+    comment = None
     if report.truncated:
-        lines.append(
-            f"# truncated to the shared prefix of {len(report.rows)} steps "
-            f"(first cohort has {report.steps_a}, second has {report.steps_b})"
-        )
-    lines.append(",".join(COMPARISON_COLUMNS))
-    for row in rows:
-        lines.append(
-            f"{row['t']},{row['age_label']},{float_repr(row['delta_b'])},"
-            f"{float_repr(row['delta_cum_rate'])},{float_repr(row['delta_cum_risk'])},"
-            f"{float_repr(row['delta_p_red'])},{float_repr(row['delta_p_off'])}"
-        )
-    return "\n".join(lines) + "\n"
+        comment = (f"truncated to the shared prefix of {len(report.rows)} steps "
+                   f"(first cohort has {report.steps_a}, second has {report.steps_b})")
+    head = {"steps_a": report.steps_a, "steps_b": report.steps_b, "truncated": report.truncated}
+    return _emit_rows(COMPARISON_COLUMNS, map(attrgetter(*COMPARISON_COLUMNS), report.rows), format,
+                      head, comment)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import Cohort, CumriskError, estimate_transition
+from .core import Cohort, CumriskError
 
 __all__ = [
     "SimulationConfig",
@@ -81,11 +81,10 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     Counts are exact integers; off_count + red_count equals n_bulbs at every
     step and red_count never decreases.
     """
-    probabilities = [estimate_transition(record).p01 for record in config.cohort.records]
     n = config.n_bulbs
     off = np.ones(n, dtype=bool)
     steps = []
-    for t, b in enumerate(probabilities, start=1):
+    for t, b in enumerate(config.cohort.b, start=1):
         draws = _step_uniforms(config.seed, t - 1, n)
         off &= draws >= b
         remaining = int(off.sum())

@@ -92,6 +92,15 @@ class TestCompute:
         assert "population" in err
         assert "line 3" in err
 
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(DEMO.encode("utf-8") + "10,15,1000,1,0 café\n".encode("latin-1"))
+        assert main(["compute", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestConditional:
     def test_single_group_horizon(self, demo_file, capsys):

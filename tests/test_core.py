@@ -1,5 +1,6 @@
 """Unit tests for the analytic core: estimation, propagation, series, queries."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from cumrisk.core import (
     Cohort,
     CohortMeta,
     EmptyOverlap,
+    InconsistentRecord,
     InvalidCohort,
     InvalidRecord,
     NegativeRate,
@@ -292,6 +294,32 @@ class TestCompare:
             compare(ramp_cohort(), empty)
 
 
+class TestCohortPrefixes:
+    def test_prefixes_start_at_birth(self):
+        cohort = make_cohort([(1000.0, 20.0), (1000.0, 40.0)])
+        assert cohort.b == (0.1, 0.2)
+        assert cohort.p_off == (1.0, 0.9, 0.9 * (1.0 - 0.2))
+        assert cohort.cum_rate == (0.0, 5.0 * 0.02, 5.0 * (0.02 + 0.04))
+
+    def test_cohort_is_frozen(self):
+        cohort = make_cohort([(1000.0, 20.0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cohort.records = ()
+
+    def test_errors_name_the_group_and_column(self):
+        with pytest.raises(InconsistentRecord) as err:
+            make_cohort([(1000.0, 20.0), (100.0, 30.0)])
+        assert (err.value.index, err.value.column, err.value.line) == (2, "incidence", None)
+        assert str(err.value).startswith("group 2, column 'incidence': 5x > n + 5dc")
+
+    def test_overflowing_counts_are_rejected(self):
+        # the pool overflows (5x / (n + 5dc) is inf / inf), or the rate does
+        for row in ((1e308, 1e308, 1e308), (1e-300, 1e300, 1e300)):
+            with pytest.raises(InconsistentRecord) as err:
+                make_cohort([(1000.0, 20.0), row])
+            assert err.value.index == 2
+
+
 class TestTypeInvariants:
     def test_matrix_rejects_leaky_absorbing_row(self):
         with pytest.raises(Exception):
@@ -332,8 +360,9 @@ class TestTypeInvariants:
     def test_cohort_rejects_open_group_before_last(self):
         records = [make_record(1, 1000.0, 1.0, open_group=True),
                    make_record(2, 1000.0, 1.0)]
-        with pytest.raises(InvalidCohort):
+        with pytest.raises(InvalidCohort) as err:
             Cohort(records=records, meta=CohortMeta())
+        assert err.value.index == 2
 
     def test_cohort_must_start_at_age_zero(self):
         record = AgeGroupRecord(index=1, age_low=5, age_high=10,
@@ -361,6 +390,16 @@ class TestTypeInvariants:
                                 cancer_deaths=0.0)
         with pytest.raises(InvalidRecord):
             record.validate()
+
+    def test_record_rejects_bool_and_non_real_counts(self):
+        for value in (True, "100", 1j):
+            record = dataclasses.replace(make_record(1, 1000.0, 1.0), population=value)
+            with pytest.raises(InvalidRecord) as err:
+                record.validate()
+            assert (err.value.index, err.value.column) == (1, "population")
+
+    def test_matrix_keeps_only_the_off_row(self):
+        assert [f.name for f in dataclasses.fields(TransitionMatrix)] == ["p00", "p01"]
 
     def test_age_labels(self):
         assert make_record(1, 1000.0, 1.0).age_label == "0-4"

@@ -151,6 +151,34 @@ class TestParseCohort:
         cohort = parse_cohort(doc("0,5,100,20,0"))
         assert cohort.records[0].incidence == 20.0
 
+    def test_overflowing_counts_are_inconsistent(self):
+        for row in ("5,10,1e308,1e308,1e308", "5,10,1e-300,1e300,1e300"):
+            with pytest.raises(InconsistentRecord) as err:
+                parse_cohort(doc("0,5,1000,2,1", row))
+            assert err.value.line == 3
+
+    def test_only_line_ends_break_rows(self):
+        # a form feed is not a line end: the cell is malformed, and lines
+        # after it keep their numbers
+        with pytest.raises(MalformedNumber) as err:
+            parse_cohort(doc("0,5,1000,2,1", "5,10,10\x0c00,3,0"))
+        assert (err.value.line, err.value.column) == (3, "population")
+        with pytest.raises(MalformedNumber) as err:
+            parse_cohort(doc("0,5,1000,2,1\x0c", "5,10,1000,x,0"))
+        assert err.value.line == 3
+
+    def test_oversized_field_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_cohort(doc("0,5,1000,2,1", '5,10,1000,2,"' + "9" * 200_000 + '"'))
+        assert err.value.line == 3
+
+    def test_record_errors_are_the_core_classes(self):
+        from cumrisk import core
+
+        assert issubclass(NegativeCount, core.InvalidRecord)
+        assert issubclass(InconsistentRecord, core.InvalidRecord)
+        assert issubclass(NonContiguousAges, core.InvalidCohort)
+
     def test_empty_document(self):
         with pytest.raises(EmptyCohort):
             parse_cohort("")

@@ -1,6 +1,7 @@
 """Tests for the bulb-panel Monte Carlo simulator."""
 
 import math
+import types
 
 import pytest
 
@@ -105,3 +106,10 @@ def test_config_rejects_seed_outside_word_range():
         SimulationConfig(cohort=cohort, n_bulbs=10, seed=-1)
     with pytest.raises(CumriskError):
         SimulationConfig(cohort=cohort, n_bulbs=10, seed=2**64)
+
+
+def test_package_attribute_is_the_simulator_module():
+    import cumrisk.simulate as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.simulate is simulate
