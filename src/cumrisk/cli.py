@@ -14,7 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .core import (
-    CohortMeta,
+    Cohort,
     CumriskError,
     OutOfRange,
     RiskSeries,
@@ -23,7 +23,6 @@ from .core import (
     risk_series,
 )
 from .io import ParseError, _emit_rows, emit_comparison, emit_series, parse_cohort
-from .simulate import SimulationConfig, empirical_series, simulate
 
 __all__ = ["main", "NotMultipleOfFive"]
 
@@ -34,14 +33,13 @@ class NotMultipleOfFive(CumriskError):
     """CLI ages and horizons must align to the five-year grid."""
 
 
-def _load_cohort(path: str, args) -> "Cohort":
+def _load_cohort(path: str) -> Cohort:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text ({exc.reason})",
                          line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    meta = CohortMeta(region=args.region, year=args.year, sex=args.sex)
-    return parse_cohort(text, meta)
+    return parse_cohort(text)
 
 
 def _write_output(document: str, out: str | None) -> None:
@@ -52,7 +50,7 @@ def _write_output(document: str, out: str | None) -> None:
 
 
 def _cmd_compute(args) -> int:
-    cohort = _load_cohort(args.dataset, args)
+    cohort = _load_cohort(args.dataset)
     series = risk_series(cohort)
     if args.upto is not None:
         kept = [
@@ -71,7 +69,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
-    cohort = _load_cohort(args.dataset, args)
+    cohort = _load_cohort(args.dataset)
     if args.age % 5 != 0 or args.horizon % 5 != 0:
         raise NotMultipleOfFive(
             f"--age and --horizon must be multiples of 5 years "
@@ -95,14 +93,17 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cohort_a = _load_cohort(args.dataset_a, args)
-    cohort_b = _load_cohort(args.dataset_b, args)
+    cohort_a = _load_cohort(args.dataset_a)
+    cohort_b = _load_cohort(args.dataset_b)
     _write_output(emit_comparison(compare(cohort_a, cohort_b), args.format), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cohort = _load_cohort(args.dataset, args)
+    # Imported here so that only this subcommand loads numpy.
+    from .simulate import SimulationConfig, empirical_series, simulate
+
+    cohort = _load_cohort(args.dataset)
     result = simulate(SimulationConfig(cohort=cohort, n_bulbs=args.bulbs, seed=args.seed))
     rows = [
         (step.t, step.age_label, emp.p_red, step.p_red, emp.p_red - step.p_red)
@@ -116,7 +117,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_figures(args) -> int:
     if not args.out:
         raise CumriskError("--out directory must not be empty")
-    cohort = _load_cohort(args.dataset, args)
+    cohort = _load_cohort(args.dataset)
     series = risk_series(cohort)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -136,30 +137,22 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, with_format=True, with_out=True) -> None:
-    if with_format:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                            help="output format (default: csv)")
-    if with_out:
-        parser.add_argument("--out", default=None, metavar="PATH",
-                            help="output path (default: stdout)")
-    parser.add_argument("--region", default="", help="cohort region label")
-    parser.add_argument("--year", default="", help="cohort calendar-year label")
-    parser.add_argument("--sex", default="", help="cohort sex label")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cumrisk",
         description="Cumulative cancer-risk engine for age-grouped incidence tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default: csv)")
+    output.add_argument("--out", default=None, metavar="PATH", help="output path (default: stdout)")
 
-    p = sub.add_parser("compute", help="per-step transition/rate/risk table for one cohort")
+    p = sub.add_parser("compute", parents=[output],
+                       help="per-step transition/rate/risk table for one cohort")
     p.add_argument("dataset", help="cohort CSV file")
     p.add_argument("--upto", type=int, default=None, metavar="AGE",
                    help="drop groups starting above AGE years")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("conditional",
@@ -168,27 +161,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--age", type=int, required=True, help="current age in years (multiple of 5)")
     p.add_argument("--horizon", type=int, required=True,
                    help="years ahead to look (multiple of 5)")
-    _add_common_flags(p, with_format=False, with_out=False)
     p.set_defaults(func=_cmd_conditional)
 
-    p = sub.add_parser("compare", help="per-step differences between two cohorts (first minus second)")
+    p = sub.add_parser("compare", parents=[output],
+                       help="per-step differences between two cohorts (first minus second)")
     p.add_argument("dataset_a", help="first cohort CSV file")
     p.add_argument("dataset_b", help="second cohort CSV file")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("simulate", help="Monte Carlo cross-check against the analytic risk")
+    p = sub.add_parser("simulate", parents=[output],
+                       help="Monte Carlo cross-check against the analytic risk")
     p.add_argument("dataset", help="cohort CSV file")
     p.add_argument("--bulbs", type=int, default=1_000_000, metavar="N",
                    help="population size (default: 1000000)")
     p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed (default: 0)")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("figures", help="write the three result data series as CSV files")
     p.add_argument("dataset", help="cohort CSV file")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    _add_common_flags(p, with_format=False, with_out=False)
     p.set_defaults(func=_cmd_figures)
 
     return parser

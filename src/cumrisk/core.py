@@ -17,6 +17,7 @@ like the classical cumulative risk, assumes cancer is the only cause of death.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
 
 # Tolerance for probability identities (row sums, state normalization).
 PROB_TOL = 1e-12
+
+_DOUBLE_MAX = sys.float_info.max
 
 
 class CumriskError(ValueError):
@@ -155,7 +158,9 @@ class AgeGroupRecord:
             value = getattr(self, name)
             if value is None and name == "other_deaths":
                 continue
-            if type(value) is not float and not _is_number(value, numbers.Real) or not math.isfinite(value):
+            # Compared exactly, an int too large for a double fails here; math.isfinite would overflow.
+            if (type(value) is not float and not (_is_number(value, numbers.Real) and abs(value) <= _DOUBLE_MAX)
+                    or not math.isfinite(value)):
                 raise InvalidRecord(f"{name} must be a finite real number, got {value!r}",
                                     index=self.index, column=name)
             if value < 0:

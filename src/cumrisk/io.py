@@ -21,14 +21,13 @@ from .core import (
     ComparisonReport,
     ComparisonRow,
     CumriskError,
-    InconsistentRecord,
     InvalidCohort,
     InvalidRecord,
-    NegativeCount,
-    NonContiguousAges,
     RiskSeries,
     RiskStep,
 )
+# The parser raises these core classes too, so callers may import them from here.
+from .core import InconsistentRecord, NegativeCount, NonContiguousAges  # noqa: F401
 
 __all__ = [
     "REQUIRED_COLUMNS",
@@ -38,9 +37,6 @@ __all__ = [
     "ParseError",
     "MissingColumn",
     "MalformedNumber",
-    "NegativeCount",
-    "NonContiguousAges",
-    "InconsistentRecord",
     "EmptyCohort",
     "parse_cohort",
     "emit_cohort",

@@ -13,14 +13,16 @@ the population is iterated or partitioned. Every bulb draws at every step;
 bulbs that are already RED simply ignore theirs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import Cohort, CumriskError
+from .core import Cohort, CumriskError, _is_number
 
 __all__ = [
+    "MAX_BULBS",
     "SimulationConfig",
     "StepCounts",
     "SimulationResult",
@@ -28,6 +30,10 @@ __all__ = [
     "simulate",
     "empirical_series",
 ]
+
+# The simulator holds about 17 bytes per bulb at once, so 10**8 bulbs need
+# about 1.7 GB; a larger population fails here, not in numpy's allocator.
+MAX_BULBS = 10**8
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,12 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_bulbs < 1:
-            raise CumriskError(f"n_bulbs must be >= 1, got {self.n_bulbs}")
+        for name in ("n_bulbs", "seed"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
+                raise CumriskError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.n_bulbs <= MAX_BULBS:
+            raise CumriskError(f"n_bulbs must be between 1 and {MAX_BULBS}, got {self.n_bulbs}")
         if not 0 <= self.seed < 2**64:
             raise CumriskError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 

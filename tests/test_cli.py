@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cumrisk
 from cumrisk.cli import main
 from cumrisk.core import red_probability
 from cumrisk.io import emit_cohort, parse_cohort
@@ -181,6 +186,11 @@ class TestSimulate:
         assert main(["simulate", demo_file, "--bulbs", "0"]) == 1
         assert "n_bulbs" in capsys.readouterr().err
 
+    def test_rejects_population_over_the_cap_before_allocating(self, demo_file, capsys):
+        assert main(["simulate", demo_file, "--bulbs", "1000000000000"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
 
 class TestFigures:
     def test_writes_three_files(self, demo_file, tmp_path, capsys):
@@ -227,3 +237,30 @@ class TestFigures:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import cumrisk
+from cumrisk import cli
+
+ramp, figs = sys.argv[1:]
+argvs = (["compute", ramp], ["conditional", ramp, "--age", "40", "--horizon", "10"],
+         ["compare", ramp, ramp], ["figures", ramp, "--out", figs])
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses = [cli.main(argv) for argv in argvs]
+print(json.dumps({"statuses": statuses, "numpy": "numpy" in sys.modules, "all": cumrisk.__all__,
+                  "unresolved": [name for name in cumrisk.__all__ if not hasattr(cumrisk, name)]}))
+"""
+
+
+def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_file, tmp_path):
+    # A fresh interpreter: this test process has numpy loaded already.
+    env = {**os.environ, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ramp_file, str(tmp_path / "figs")],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["statuses"] == [0, 0, 0, 0]
+    assert probe["numpy"] is False
+    assert len(probe["all"]) == len(set(probe["all"]))
+    assert probe["unresolved"] == []

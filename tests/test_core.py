@@ -392,7 +392,7 @@ class TestTypeInvariants:
             record.validate()
 
     def test_record_rejects_bool_and_non_real_counts(self):
-        for value in (True, "100", 1j):
+        for value in (True, "100", 1j, 10**400):
             record = dataclasses.replace(make_record(1, 1000.0, 1.0), population=value)
             with pytest.raises(InvalidRecord) as err:
                 record.validate()

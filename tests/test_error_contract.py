@@ -1,8 +1,9 @@
 """The command line's error contract, fuzzed over the input file.
 
-Whatever bytes `cumrisk compute` reads, it either exits 0 with nothing on
-stderr and output that strict JSON accepts, or exits 1 with exactly one
-stderr line that starts with "error: ". It never ends in a traceback.
+Whatever bytes `cumrisk compute` or `cumrisk simulate` reads, it either exits
+0 with nothing on stderr and output that strict JSON accepts, or exits 1 with
+exactly one stderr line that starts with "error: ". It never ends in a
+traceback.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from cumrisk.cli import main
 
 HEADER = "age_low,age_high,population,incidence,cancer_deaths"
 ROWS = ("0,5,1000,20,0", "5,10,1000,40,3", "10,open,900,4,2")
+COMMANDS = st.sampled_from((("compute",), ("simulate", "--bulbs", "64", "--seed", "0")))
 
 CELLS = st.one_of(
     st.sampled_from(("", "open", "OPEN", "nan", "inf", "-1", "-0", "0", "1e308", "1e300",
@@ -54,19 +56,23 @@ def _reject_constant(name):
 
 
 @given(document=st.one_of(st.binary(max_size=200), near_valid_documents()),
-       format=st.sampled_from(("csv", "json")))
-@example(document=f"{HEADER}\n0,5,1000,1,0\n5,open,1000,2,0 caf\xe9\n".encode("latin-1"), format="csv")
-@example(document=f'{HEADER}\n0,5,1000,2,"{"9" * 131_073}"\n'.encode("utf-8"), format="csv")
-@example(document=f"{HEADER}\n0,5,1e308,1e308,1e308\n".encode("utf-8"), format="json")
-@example(document=f"{HEADER}\n0,5,1e-300,1e300,1e300\n".encode("utf-8"), format="json")
+       format=st.sampled_from(("csv", "json")), command=COMMANDS)
+@example(document=f"{HEADER}\n0,5,1000,1,0\n5,open,1000,2,0 caf\xe9\n".encode("latin-1"), format="csv",
+         command=("compute",))
+@example(document=f'{HEADER}\n0,5,1000,2,"{"9" * 131_073}"\n'.encode("utf-8"), format="csv",
+         command=("compute",))
+@example(document=f"{HEADER}\n0,5,1e308,1e308,1e308\n".encode("utf-8"), format="json",
+         command=("compute",))
+@example(document=f"{HEADER}\n0,5,1e-300,1e300,1e300\n".encode("utf-8"), format="json",
+         command=("compute",))
 @settings(max_examples=300, deadline=None)
-def test_compute_exits_cleanly_or_with_one_error_line(document, format):
+def test_compute_exits_cleanly_or_with_one_error_line(document, format, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
         path.write_bytes(document)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            status = main(["compute", str(path), "--format", format])
+            status = main([*command, str(path), "--format", format])
     if status == 0:
         assert stderr.getvalue() == ""
         if format == "json":

@@ -7,6 +7,7 @@ import pytest
 
 from cumrisk.core import CumriskError, red_probability
 from cumrisk.simulate import (
+    MAX_BULBS,
     SimulationConfig,
     SimulationResult,
     StepCounts,
@@ -96,8 +97,9 @@ def test_large_panel_tracks_analytic_probability():
 
 def test_config_rejects_empty_panel():
     cohort = ramp_cohort(groups=2)
-    with pytest.raises(CumriskError):
-        SimulationConfig(cohort=cohort, n_bulbs=0, seed=1)
+    for n_bulbs in (0, 2.5, True, "3", MAX_BULBS + 1):
+        with pytest.raises(CumriskError):
+            SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=1)
 
 
 def test_config_rejects_seed_outside_word_range():
@@ -106,6 +108,9 @@ def test_config_rejects_seed_outside_word_range():
         SimulationConfig(cohort=cohort, n_bulbs=10, seed=-1)
     with pytest.raises(CumriskError):
         SimulationConfig(cohort=cohort, n_bulbs=10, seed=2**64)
+    for seed in (1.5, True, "3"):
+        with pytest.raises(CumriskError):
+            SimulationConfig(cohort=cohort, n_bulbs=10, seed=seed)
 
 
 def test_package_attribute_is_the_simulator_module():
