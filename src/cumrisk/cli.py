@@ -22,7 +22,7 @@ from .core import (
     conditional_risk,
     risk_series,
 )
-from .io import ParseError, _emit_rows, emit_comparison, emit_series, parse_cohort
+from .io import ParseError, _emit_rows, emit_comparison, emit_series, float_repr, parse_cohort
 
 __all__ = ["main", "NotMultipleOfFive"]
 
@@ -88,7 +88,7 @@ def _cmd_conditional(args) -> int:
             f"the dataset's maximum age is {5 * groups} years "
             f"(last group {cohort.records[-1].age_label})"
         )
-    print(f"{conditional_risk(cohort, current_step, horizon_steps):.6f}")
+    print(float_repr(conditional_risk(cohort, current_step, horizon_steps)))
     return 0
 
 

@@ -116,6 +116,15 @@ class EmptyOverlap(CumriskError):
     """Cohort comparison needs at least one step on both sides."""
 
 
+def _show(value, convert=repr) -> str:
+    # For error messages, which must not fail themselves: CPython refuses to
+    # print an int of more than sys.get_int_max_str_digits() digits.
+    try:
+        return convert(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _is_number(value, kind) -> bool:
     # bool is an int subclass, but True is no count or age. This ABC test is
     # slow, so callers first accept the exact type the parser makes.
@@ -161,27 +170,27 @@ class AgeGroupRecord:
             # Compared exactly, an int too large for a double fails here; math.isfinite would overflow.
             if (type(value) is not float and not (_is_number(value, numbers.Real) and abs(value) <= _DOUBLE_MAX)
                     or not math.isfinite(value)):
-                raise InvalidRecord(f"{name} must be a finite real number, got {value!r}",
+                raise InvalidRecord(f"{name} must be a finite real number, got {_show(value)}",
                                     index=self.index, column=name)
             if value < 0:
-                raise NegativeCount(f"{name} must be >= 0, got {value!r}", index=self.index, column=name)
+                raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=self.index, column=name)
         if self.population <= 0:
             raise InconsistentRecord("population must be positive", index=self.index, column="population")
         if 5.0 * self.incidence > self.population + 5.0 * self.cancer_deaths:
             raise InconsistentRecord(
-                f"5x > n + 5dc (5*{self.incidence!r} exceeds the at-risk pool "
-                f"{self.population!r} + 5*{self.cancer_deaths!r})",
+                f"5x > n + 5dc (5*{_show(self.incidence)} exceeds the at-risk pool "
+                f"{_show(self.population)} + 5*{_show(self.cancer_deaths)})",
                 index=self.index,
                 column="incidence",
             )
         low, high = self.age_low, self.age_high
         if type(low) is not int and not _is_number(low, numbers.Integral) or low < 0 or low % 5:
-            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {low!r}",
+            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {_show(low)}",
                                     index=self.index, column="age_low")
         if high is not None and (type(high) is not int and not _is_number(high, numbers.Integral)
                                  or high - low != 5):
             raise NonContiguousAges(
-                f"closed groups must span exactly 5 years, got {low}..{high!r}",
+                f"closed groups must span exactly 5 years, got {_show(low, str)}..{_show(high)}",
                 index=self.index,
                 column="age_high",
             )
@@ -226,12 +235,12 @@ class Cohort:
         for position, record in enumerate(records, start=1):
             record.validate()
             if record.index != position:
-                raise InvalidCohort(f"record at position {position} has index {record.index}; "
+                raise InvalidCohort(f"record at position {position} has index {_show(record.index, str)}; "
                                     "indices must run 1..G", index=position)
             if expected_low is None:
                 raise NonContiguousAges("no group may follow an open-ended group", index=position)
             if record.age_low != expected_low:
-                raise NonContiguousAges(f"age_low {record.age_low} breaks contiguity (expected "
+                raise NonContiguousAges(f"age_low {_show(record.age_low, str)} breaks contiguity (expected "
                                         f"{expected_low})", index=position, column="age_low")
             step_b = _transition_probability(record)
             off *= 1.0 - step_b
@@ -276,9 +285,9 @@ class TransitionMatrix:
         for name in ("p00", "p01"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise CumriskError(f"{name} must lie in [0, 1], got {value!r}")
+                raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
         if abs(self.p00 + self.p01 - 1.0) > PROB_TOL:
-            raise CumriskError(f"OFF row must sum to 1, got {self.p00!r} + {self.p01!r}")
+            raise CumriskError(f"OFF row must sum to 1, got {_show(self.p00)} + {_show(self.p01)}")
 
 
 @dataclass(frozen=True)
@@ -292,9 +301,9 @@ class StateVector:
         for name in ("p_off", "p_red"):
             value = getattr(self, name)
             if not -PROB_TOL <= value <= 1.0 + PROB_TOL:
-                raise CumriskError(f"{name} must lie in [0, 1], got {value!r}")
+                raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
         if abs(self.p_off + self.p_red - 1.0) > PROB_TOL:
-            raise CumriskError(f"state must sum to 1, got {self.p_off!r} + {self.p_red!r}")
+            raise CumriskError(f"state must sum to 1, got {_show(self.p_off)} + {_show(self.p_red)}")
 
 
 # Every cohort starts from the same place: alive and cancer free.
@@ -392,7 +401,7 @@ def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:
 
 def _check_step(cohort: Cohort, t: int) -> None:
     if not 1 <= t <= len(cohort.records):
-        raise OutOfRange(f"step {t} outside the cohort's range 1..{len(cohort.records)}")
+        raise OutOfRange(f"step {_show(t, str)} outside the cohort's range 1..{len(cohort.records)}")
 
 
 def cumulative_rate(cohort: Cohort, t: int) -> float:
@@ -414,7 +423,7 @@ def cumulative_risk_from_rate(rate: float) -> float:
         NegativeRate: for rate < 0 (or NaN).
     """
     if not rate >= 0.0:
-        raise NegativeRate(f"cumulative rate must be >= 0, got {rate!r}")
+        raise NegativeRate(f"cumulative rate must be >= 0, got {_show(rate)}")
     return 1.0 - math.exp(-rate)
 
 
@@ -483,12 +492,12 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
     """
     groups = len(cohort.records)
     if current_step < 0:
-        raise OutOfRange(f"current step must be >= 0, got {current_step}")
+        raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)}")
     if horizon_steps < 1:
-        raise OutOfRange(f"horizon must be at least one step, got {horizon_steps}")
+        raise OutOfRange(f"horizon must be at least one step, got {_show(horizon_steps, str)}")
     if current_step + horizon_steps > groups:
         raise OutOfRange(
-            f"step {current_step} plus horizon {horizon_steps} exceeds the "
+            f"step {_show(current_step, str)} plus horizon {_show(horizon_steps, str)} exceeds the "
             f"cohort's {groups} groups"
         )
     off = 1.0

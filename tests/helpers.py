@@ -1,5 +1,8 @@
 """Builders for synthetic cohorts shared across the test modules."""
 
+import numpy as np
+from numpy.random import Generator, Philox
+
 from cumrisk.core import AgeGroupRecord, Cohort, CohortMeta
 
 
@@ -43,3 +46,19 @@ def ramp_cohort(groups=18, b_low=0.001, b_high=0.12):
         incidence = b * (population + 5.0 * cancer_deaths) / 5.0
         rows.append((population, incidence, cancer_deaths))
     return make_cohort(rows, open_last=True)
+
+
+def reference_off_counts(cohort, n_bulbs, seed):
+    """Per-step OFF counts from the one-shot, step-major loop.
+
+    All n draws of a step come from one call on a fresh Philox stream keyed
+    by (seed, step), the plainest reading of the simulator's contract; the
+    chunked, threaded simulator must reproduce these counts exactly.
+    """
+    off = np.ones(n_bulbs, dtype=bool)
+    counts = []
+    for t, b in enumerate(cohort.b):
+        key = np.array([seed, t], dtype=np.uint64)
+        off &= Generator(Philox(key=key)).random(n_bulbs) >= b
+        counts.append(int(off.sum()))
+    return counts

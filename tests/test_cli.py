@@ -11,7 +11,7 @@ import pytest
 import cumrisk
 from cumrisk.cli import main
 from cumrisk.core import red_probability
-from cumrisk.io import emit_cohort, parse_cohort
+from cumrisk.io import emit_cohort, float_repr, parse_cohort
 from helpers import make_cohort, ramp_cohort
 
 DEMO = ("age_low,age_high,population,incidence,cancer_deaths\n"
@@ -111,14 +111,15 @@ class TestConditional:
     def test_single_group_horizon(self, demo_file, capsys):
         assert main(["conditional", demo_file, "--age", "5", "--horizon", "5"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "0.200000\n"
+        # b = 0.2 for the one group, and 1 - (1 - 0.2) is printed at full precision
+        assert captured.out == "0.19999999999999996\n"
         assert captured.err == ""
 
     def test_full_range_matches_library(self, ramp_file, capsys):
         assert main(["conditional", ramp_file, "--age", "0", "--horizon", "90"]) == 0
         printed = capsys.readouterr().out.strip()
         cohort = parse_cohort(emit_cohort(ramp_cohort()))
-        assert printed == f"{red_probability(cohort, 18):.6f}"
+        assert printed == float_repr(red_probability(cohort, 18))
 
     def test_rejects_off_grid_age(self, demo_file, capsys):
         assert main(["conditional", demo_file, "--age", "3", "--horizon", "5"]) == 1

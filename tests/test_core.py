@@ -10,6 +10,7 @@ from cumrisk.core import (
     AgeGroupRecord,
     Cohort,
     CohortMeta,
+    CumriskError,
     EmptyOverlap,
     InconsistentRecord,
     InvalidCohort,
@@ -392,11 +393,30 @@ class TestTypeInvariants:
             record.validate()
 
     def test_record_rejects_bool_and_non_real_counts(self):
-        for value in (True, "100", 1j, 10**400):
+        for value in (True, "100", 1j, 10**400, 10**5000):
             record = dataclasses.replace(make_record(1, 1000.0, 1.0), population=value)
             with pytest.raises(InvalidRecord) as err:
                 record.validate()
             assert (err.value.index, err.value.column) == (1, "population")
+
+    def test_errors_name_ints_too_long_to_print(self):
+        # repr of an int over 4,300 digits raises ValueError; no error
+        # message may fail that way
+        huge = 10**5000
+        cohort = ramp_cohort(groups=2)
+        for make in (lambda: Cohort(records=[AgeGroupRecord(1, 0, huge, 1000.0, 1.0, 0.0)]),
+                     lambda: Cohort(records=[AgeGroupRecord(1, huge, None, 1000.0, 1.0, 0.0)]),
+                     lambda: Cohort(records=[AgeGroupRecord(huge, 0, None, 1000.0, 1.0, 0.0)]),
+                     lambda: TransitionMatrix(p00=huge, p01=0.0),
+                     lambda: StateVector(p_off=huge, p_red=0.0),
+                     lambda: red_probability(cohort, huge),
+                     lambda: cumulative_rate(cohort, -huge),
+                     lambda: cumulative_risk_from_rate(-huge),
+                     lambda: conditional_risk(cohort, -huge, 1),
+                     lambda: conditional_risk(cohort, 0, -huge),
+                     lambda: conditional_risk(cohort, huge, 1)):
+            with pytest.raises(CumriskError, match="an integer of 16610 bits"):
+                make()
 
     def test_matrix_keeps_only_the_off_row(self):
         assert [f.name for f in dataclasses.fields(TransitionMatrix)] == ["p00", "p01"]

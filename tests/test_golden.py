@@ -36,6 +36,8 @@ CLI_CASES = {
     "simulate_ramp.csv": ["simulate", "{ramp}", "--bulbs", "1000", "--seed", "42"],
     "simulate_ramp.json": ["simulate", "{ramp}", "--bulbs", "1000", "--seed", "42",
                            "--format", "json"],
+    # more than three chunks of bulbs, ending in a partial one
+    "simulate_ramp_multichunk.csv": ["simulate", "{ramp}", "--bulbs", "200003", "--seed", "7"],
 }
 FIGURES = ("fig4_transitions.csv", "fig5_red.csv", "fig6_summary.csv")
 CASES = (list(CLI_CASES) + [f"figures_ramp_{name}" for name in FIGURES]

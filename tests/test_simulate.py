@@ -1,12 +1,17 @@
 """Tests for the bulb-panel Monte Carlo simulator."""
 
 import math
+import sys
+import threading
+import tracemalloc
 import types
 
 import pytest
 
+import cumrisk.simulate as simulator
 from cumrisk.core import CumriskError, red_probability
 from cumrisk.simulate import (
+    CHUNK,
     MAX_BULBS,
     SimulationConfig,
     SimulationResult,
@@ -14,7 +19,7 @@ from cumrisk.simulate import (
     empirical_series,
     simulate,
 )
-from helpers import make_cohort, ramp_cohort
+from helpers import make_cohort, ramp_cohort, reference_off_counts
 
 
 def test_zero_probability_keeps_every_bulb_off():
@@ -97,7 +102,7 @@ def test_large_panel_tracks_analytic_probability():
 
 def test_config_rejects_empty_panel():
     cohort = ramp_cohort(groups=2)
-    for n_bulbs in (0, 2.5, True, "3", MAX_BULBS + 1):
+    for n_bulbs in (0, 2.5, True, "3", MAX_BULBS + 1, 10**5000):
         with pytest.raises(CumriskError):
             SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=1)
 
@@ -118,3 +123,98 @@ def test_package_attribute_is_the_simulator_module():
 
     assert isinstance(module, types.ModuleType)
     assert module.simulate is simulate
+
+
+def _off_counts(result):
+    return [step.off_count for step in result.steps]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_bulbs", [1, 3, 7, 8, 9, 5 * 8 + 3])
+def test_chunks_and_spans_change_no_count(monkeypatch, workers, n_bulbs):
+    # chunks of 8 bulbs: n is one bulb, less than, exactly or just over one
+    # chunk, and several chunks plus a remainder
+    monkeypatch.setattr(simulator, "CHUNK", 8)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: workers)
+    cohort = ramp_cohort(b_high=0.5)
+    for seed in (0, 2**64 - 1):
+        result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=seed))
+        assert _off_counts(result) == reference_off_counts(cohort, n_bulbs, seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_full_size_chunks_match_the_one_shot_loop(monkeypatch, workers):
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: workers)
+    cohort = ramp_cohort(groups=6)
+    for n_bulbs in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+        result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=31))
+        assert _off_counts(result) == reference_off_counts(cohort, n_bulbs, 31)
+
+
+def test_more_threads_than_cores_switching_often_lose_no_count(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 4)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    cohort = ramp_cohort(b_high=0.5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(5):
+            result = simulate(SimulationConfig(cohort=cohort, n_bulbs=203, seed=seed))
+            assert _off_counts(result) == reference_off_counts(cohort, 203, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_spans_are_whole_chunks_covering_the_panel(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 4)
+    assert simulator._spans(1, 8) == [(0, 1)]
+    assert simulator._spans(9, 1) == [(0, 9)]
+    assert simulator._spans(9, 2) == [(0, 8), (8, 9)]
+    assert simulator._spans(9, 3) == [(0, 4), (4, 8), (8, 9)]
+    assert simulator._spans(20, 3) == [(0, 8), (8, 16), (16, 20)]
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulator.threading, "Thread", no_thread)
+    cohort = ramp_cohort(groups=3)
+    result = simulate(SimulationConfig(cohort=cohort, n_bulbs=CHUNK, seed=5))
+    assert _off_counts(result) == reference_off_counts(cohort, CHUNK, 5)
+
+
+def test_failing_worker_raises_in_the_caller(monkeypatch):
+    hooked = []
+    real = simulator._off_counts
+
+    def fail_after_first_span(seed, b, start, stop):
+        if start > 0:
+            raise MemoryError(f"span at {start}")
+        return real(seed, b, start, stop)
+
+    monkeypatch.setattr(simulator, "CHUNK", 4)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulator, "_off_counts", fail_after_first_span)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    threads_before = threading.active_count()
+    with pytest.raises(MemoryError, match="span at 4"):
+        simulate(SimulationConfig(cohort=ramp_cohort(groups=3), n_bulbs=12, seed=1))
+    assert hooked == []
+    assert threading.active_count() == threads_before
+
+
+def test_memory_stays_flat_as_the_panel_grows(monkeypatch):
+    # buffers of 10 bytes per bulb of a chunk in each of four workers; the
+    # one-shot loop would need about 10 MB per 10**6 bulbs
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+    cohort = ramp_cohort(groups=3)
+    for n_bulbs in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (n_bulbs, peak)
