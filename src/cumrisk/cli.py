@@ -9,6 +9,7 @@ nothing was written to stderr.
 """
 
 import argparse
+import os
 import sys
 from operator import attrgetter
 from pathlib import Path
@@ -28,18 +29,26 @@ __all__ = ["main", "NotMultipleOfFive"]
 
 SIMULATION_COLUMNS = ("t", "age_label", "empirical_p_red", "analytic_p_red", "diff")
 
+# Input files are read up to this many bytes; a larger one is refused. An
+# 18-group table is under 1 KB, and /dev/zero or a FIFO must not fill memory.
+MAX_INPUT_BYTES = 16 * 2**20
+
 
 class NotMultipleOfFive(CumriskError):
     """CLI ages and horizons must align to the five-year grid."""
 
 
 def _load_cohort(path: str) -> Cohort:
+    with open(path, "rb") as file:
+        data = file.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path!r} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text ({exc.reason})",
-                         line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    return parse_cohort(text)
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_cohort(text.replace("\r\n", "\n").replace("\r", "\n"))  # newlines as in text mode
 
 
 def _write_output(document: str, out: str | None) -> None:
@@ -100,7 +109,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # Imported here so that only this subcommand loads numpy.
+    # Imported here so that only this subcommand loads numpy. cumrisk uses no
+    # BLAS, whose idle threads would only take CPU from the simulator's.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .simulate import SimulationConfig, empirical_series, simulate
 
     cohort = _load_cohort(args.dataset)

@@ -18,6 +18,7 @@ like the classical cumulative risk, assumes cancer is the only cause of death.
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -310,17 +311,10 @@ class StateVector:
 NEWBORN_STATE = StateVector(p_off=1.0, p_red=0.0)
 
 
-@dataclass(frozen=True)
-class RiskStep:
-    """One row of the per-step risk table (the data behind the figures)."""
-
-    t: int
-    age_label: str
-    b: float          # per-step OFF -> RED transition probability
-    cum_rate: float   # 5 * summed annual incidence rates; a rate, can exceed 1
-    cum_risk: float   # 1 - exp(-cum_rate)
-    p_red: float
-    p_off: float
+# One row of the per-step risk table (the data behind the figures), in column
+# order: b is the per-step OFF -> RED transition probability, cum_rate 5 * the
+# summed annual incidence rates (can exceed 1), cum_risk 1 - exp(-cum_rate).
+RiskStep = namedtuple("RiskStep", "t age_label b cum_rate cum_risk p_red p_off")
 
 
 @dataclass
@@ -336,17 +330,9 @@ class RiskSeries:
         return iter(self.steps)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Differences (first cohort minus second) for one shared step."""
-
-    t: int
-    age_label: str
-    delta_b: float
-    delta_cum_rate: float
-    delta_cum_risk: float
-    delta_p_red: float
-    delta_p_off: float
+# Differences (first cohort minus second) for one shared step, in column order.
+ComparisonRow = namedtuple("ComparisonRow",
+                           "t age_label delta_b delta_cum_rate delta_cum_risk delta_p_red delta_p_off")
 
 
 @dataclass
@@ -463,18 +449,8 @@ def risk_series(cohort: Cohort) -> RiskSeries:
     so the two agree exactly.
     """
     prefixes = zip(cohort.records, cohort.b, cohort.cum_rate[1:], cohort.p_off[1:])
-    return RiskSeries([
-        RiskStep(
-            t=record.index,
-            age_label=record.age_label,
-            b=b,
-            cum_rate=rate,
-            cum_risk=cumulative_risk_from_rate(rate),
-            p_red=1.0 - off,
-            p_off=off,
-        )
-        for record, b, rate, off in prefixes
-    ])
+    return RiskSeries([RiskStep(record.index, record.age_label, b, rate, cumulative_risk_from_rate(rate),
+                                1.0 - off, off) for record, b, rate, off in prefixes])
 
 
 def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> float:
@@ -518,20 +494,11 @@ def compare(a: Cohort, b: Cohort) -> ComparisonReport:
     """
     if len(a.records) == 0 or len(b.records) == 0:
         raise EmptyOverlap("both cohorts need at least one age group to compare")
-    series_a = risk_series(a)
-    series_b = risk_series(b)
-    shared = min(len(series_a.steps), len(series_b.steps))
-    rows = []
-    for step_a, step_b in zip(series_a.steps[:shared], series_b.steps[:shared]):
-        rows.append(
-            ComparisonRow(
-                t=step_a.t,
-                age_label=step_a.age_label,
-                delta_b=step_a.b - step_b.b,
-                delta_cum_rate=step_a.cum_rate - step_b.cum_rate,
-                delta_cum_risk=step_a.cum_risk - step_b.cum_risk,
-                delta_p_red=step_a.p_red - step_b.p_red,
-                delta_p_off=step_a.p_off - step_b.p_off,
-            )
-        )
-    return ComparisonReport(rows=rows, steps_a=len(series_a.steps), steps_b=len(series_b.steps))
+    # The deltas of the risk_series columns, read from the prefixes in the
+    # same operation order, so every double is the one the tables would give.
+    prefixes = zip(a.records, a.b, b.b, a.cum_rate[1:], b.cum_rate[1:], a.p_off[1:], b.p_off[1:])
+    rows = [ComparisonRow(record.index, record.age_label, ba - bb, ra - rb,
+                          cumulative_risk_from_rate(ra) - cumulative_risk_from_rate(rb),
+                          (1.0 - oa) - (1.0 - ob), oa - ob)
+            for record, ba, bb, ra, rb, oa, ob in prefixes]
+    return ComparisonReport(rows=rows, steps_a=len(a.records), steps_b=len(b.records))

@@ -8,11 +8,9 @@ parse error names the offending line and column.
 """
 
 import csv
-import json
 import math
-from dataclasses import fields
 from io import StringIO
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     AgeGroupRecord,
@@ -47,8 +45,8 @@ __all__ = [
 
 REQUIRED_COLUMNS = ("age_low", "age_high", "population", "incidence", "cancer_deaths")
 OPTIONAL_COLUMNS = ("other_deaths",)
-SERIES_COLUMNS = tuple(f.name for f in fields(RiskStep))
-COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
+SERIES_COLUMNS = RiskStep._fields
+COMPARISON_COLUMNS = ComparisonRow._fields
 
 
 class ParseError(CumriskError):
@@ -183,17 +181,40 @@ def emit_cohort(cohort: Cohort) -> str:
     return _emit_rows(columns, rows, "csv", {}, None)
 
 
+def _json_value(value) -> str:
+    # json.dumps's own type tests, in its order, and its spellings
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):  # also a float subclass, such as numpy's float64
+        return ("NaN" if value != value else "Infinity" if value == math.inf
+                else "-Infinity" if value == -math.inf else float.__repr__(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> str:
-    """Render rows of values, given in column order, as CSV or as JSON.
+    """Render rows of values, one per column and in column order, as CSV or JSON.
 
     Floats are written at full precision (str of a float is its shortest
-    round-trip repr), so parsing them back recovers the exact doubles. JSON
-    writes the ``head`` items before the "steps" list; CSV writes a
-    ``comment`` as a leading "# " line.
+    round-trip repr), so parsing them back recovers the exact doubles. JSON is
+    written directly, as ``json.dumps({**head, "steps": [dict(zip(columns,
+    row)), ...]}, indent=2)`` would write it (``head`` has no key "steps");
+    CSV writes a ``comment`` as a leading "# " line.
     """
     if format == "json":
-        steps = [dict(zip(columns, values)) for values in rows]
-        return json.dumps({**head, "steps": steps}, indent=2) + "\n"
+        # one %s per value in a step; an exact finite float, the common case, skips the type tests
+        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
+        step = ",".join([f"\n      {key}: %s" for key in keys])
+        step = f"    {{{step}\n    }}" if step else "    {}"
+        values = tuple([f"{value!r}" if type(value) is float and value - value == 0.0 else _json_value(value)
+                        for row in rows for value in row])
+        items = [f"  {encode_basestring_ascii(key)}: {_json_value(value)}" for key, value in head.items()]
+        steps = ",\n".join([step] * len(rows)) % values
+        items.append(f'  "steps": [\n{steps}\n  ]' if steps else '  "steps": []')
+        return "{\n" + ",\n".join(items) + "\n}\n"
     if format != "csv":
         raise CumriskError(f"unknown output format {format!r} (expected 'csv' or 'json')")
     template = ",".join(["{}"] * len(columns))
@@ -209,7 +230,7 @@ def emit_series(series: RiskSeries, format: str = "csv") -> str:
     Floats are written at full precision: parsing them back recovers the
     exact doubles. Identical series produce byte-identical documents.
     """
-    return _emit_rows(SERIES_COLUMNS, map(attrgetter(*SERIES_COLUMNS), series.steps), format, {}, None)
+    return _emit_rows(SERIES_COLUMNS, series.steps, format, {}, None)
 
 
 def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:
@@ -223,5 +244,4 @@ def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:
         comment = (f"truncated to the shared prefix of {len(report.rows)} steps "
                    f"(first cohort has {report.steps_a}, second has {report.steps_b})")
     head = {"steps_a": report.steps_a, "steps_b": report.steps_b, "truncated": report.truncated}
-    return _emit_rows(COMPARISON_COLUMNS, map(attrgetter(*COMPARISON_COLUMNS), report.rows), format,
-                      head, comment)
+    return _emit_rows(COMPARISON_COLUMNS, report.rows, format, head, comment)

@@ -131,7 +131,9 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     number of CPUs: every span draws the same stream positions.
     """
     n, seed, b = config.n_bulbs, config.seed, config.cohort.b
-    first, *rest = _spans(n, os.cpu_count() or 1)
+    # the CPUs this process may use, which a container may set below os.cpu_count()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    first, *rest = _spans(n, cpus)
     results = [None] * len(rest)
 
     def work(i, span):

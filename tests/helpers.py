@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.random import Generator, Philox
 
-from cumrisk.core import AgeGroupRecord, Cohort, CohortMeta
+from cumrisk.core import AgeGroupRecord, Cohort, CohortMeta, ComparisonRow, risk_series
 
 
 def make_record(index, population, incidence, cancer_deaths=0.0, other_deaths=None,
@@ -62,3 +62,18 @@ def reference_off_counts(cohort, n_bulbs, seed):
         off &= Generator(Philox(key=key)).random(n_bulbs) >= b
         counts.append(int(off.sum()))
     return counts
+
+
+def reference_comparison(a, b):
+    """Comparison rows from two whole risk tables, subtracted column by column.
+
+    The plainest reading of ``compare``; the version that reads the cohorts'
+    prefixes directly must reproduce every double exactly.
+    """
+    series_a, series_b = risk_series(a), risk_series(b)
+    return [
+        ComparisonRow(step_a.t, step_a.age_label, step_a.b - step_b.b, step_a.cum_rate - step_b.cum_rate,
+                      step_a.cum_risk - step_b.cum_risk, step_a.p_red - step_b.p_red,
+                      step_a.p_off - step_b.p_off)
+        for step_a, step_b in zip(series_a.steps, series_b.steps)
+    ]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cumrisk
+from cumrisk import cli
 from cumrisk.cli import main
 from cumrisk.core import red_probability
 from cumrisk.io import emit_cohort, float_repr, parse_cohort
@@ -105,6 +107,28 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err.startswith("error: line 4: ")
         assert len(captured.err.splitlines()) == 1
+
+
+    def test_line_ends_are_read_as_in_text_mode(self, demo_file, tmp_path, capsys):
+        assert main(["compute", demo_file]) == 0
+        expected = capsys.readouterr().out
+        for newline in ("\r\n", "\r"):
+            path = tmp_path / "newlines.csv"
+            path.write_bytes(DEMO.replace("\n", newline).encode("utf-8"))
+            assert main(["compute", str(path)]) == 0
+            assert capsys.readouterr() == (expected, "")
+
+    def test_input_at_the_cap_is_read_and_one_byte_more_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(DEMO))
+        path = tmp_path / "demo.csv"
+        path.write_text(DEMO, encoding="utf-8")
+        assert main(["compute", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        path.write_text(DEMO + "\n", encoding="utf-8")
+        assert main(["compute", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(path)!r} is larger than the input limit of {len(DEMO)} bytes\n"
 
 
 class TestConditional:
@@ -265,3 +289,54 @@ def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_fi
     assert probe["numpy"] is False
     assert len(probe["all"]) == len(set(probe["all"]))
     assert probe["unresolved"] == []
+
+
+def _cli_child(args, limit_bytes):
+    """Run ``python -m cumrisk.cli`` in a fresh interpreter with its address space capped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run([sys.executable, "-m", "cumrisk.cli", *args], capture_output=True, text=True,
+                          env=env, timeout=120, preexec_fn=cap_address_space)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_or_oversized_input_is_one_error_line_in_bounded_memory(tmp_path):
+    # 400 MB of address space: reading /dev/zero whole would end in a MemoryError traceback
+    oversized = tmp_path / "oversized.csv"
+    with open(oversized, "wb") as file:
+        file.truncate(cli.MAX_INPUT_BYTES + 1)
+    for path in ("/dev/zero", str(oversized)):
+        proc = _cli_child(["compute", path], 400 * 2**20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {path!r} is larger than the input limit of {cli.MAX_INPUT_BYTES} bytes\n"
+
+
+BLAS_PROBE = """
+import contextlib, io, os, sys
+from cumrisk import cli
+
+seen = []
+
+class Spy:  # notes the setting at the moment numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["simulate", sys.argv[1], "--bulbs", "10"])
+print(status, seen[:1])
+"""
+
+
+def test_simulate_sets_one_blas_thread_before_numpy_unless_the_user_chose(ramp_file):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cumrisk.__file__).parents[1])
+    for preset, expected in ((None, "1"), ("3", "3")):
+        child_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, ramp_file], capture_output=True,
+                              text=True, env=child_env, timeout=60, check=True)
+        assert proc.stdout == f"0 [{expected!r}]\n"

@@ -1,8 +1,12 @@
 """Tests for cohort parsing and CSV/JSON emission."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cumrisk.core import CumriskError, compare, risk_series
 from cumrisk.io import (
@@ -15,6 +19,7 @@ from cumrisk.io import (
     NegativeCount,
     NonContiguousAges,
     ParseError,
+    _emit_rows,
     emit_cohort,
     emit_comparison,
     emit_series,
@@ -299,3 +304,49 @@ class TestEmitComparison:
 def test_float_repr_round_trips():
     for value in (0.1, 0.1 + 0.2, 1.0 / 3.0, 1e-300, 123456789.123456789):
         assert float(float_repr(value)) == value
+
+
+class ReprFloat(float):
+    """A float subclass whose own repr json.dumps must not use."""
+
+    def __repr__(self):
+        return "ReprFloat()"
+
+
+JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308 / 7, 1e16, 2.0**53 + 2, 1e22, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf)),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats().map(np.float64),
+    st.floats().map(ReprFloat),
+    st.integers(),
+    st.integers(min_value=-(10**4000), max_value=10**4000),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ufeffé\U0001f600\U00010000')),
+)
+
+
+@st.composite
+def json_tables(draw):
+    columns = draw(st.lists(st.text(), unique=True, max_size=8))
+    rows = draw(st.lists(st.lists(JSON_SCALARS, min_size=len(columns), max_size=len(columns)).map(tuple),
+                         max_size=4))
+    head = draw(st.dictionaries(st.text().filter(lambda key: key != "steps"), JSON_SCALARS, max_size=4))
+    return columns, rows, head
+
+
+@given(json_tables())
+@example(((), [], {}))
+@example((("t",), [], {"truncated": False}))
+@example(((), [(), ()], {}))
+@example((("%s", "100%", "%%d"), [("%", math.inf, None), ("%s", -0.0, True)], {"%s": "%"}))
+@example((COMPARISON_COLUMNS, [(1, "0-4", -0.0, 5e-324, 1e16, math.nan, -math.inf)],
+          {"steps_a": 1, "steps_b": 2, "truncated": True}))
+@settings(deadline=None)
+def test_json_writer_gives_the_bytes_of_json_dumps(table):
+    columns, rows, head = table
+    expected = json.dumps({**head, "steps": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+    assert _emit_rows(columns, rows, "json", head, None) == expected

@@ -13,7 +13,7 @@ from cumrisk.core import (
     transition_matrices,
 )
 from cumrisk.io import emit_cohort, emit_series, parse_cohort
-from helpers import make_cohort
+from helpers import make_cohort, reference_comparison
 
 TOL = 1e-12
 
@@ -30,6 +30,24 @@ def cohorts(draw, max_groups=18):
         incidence = draw(st.integers(min_value=0, max_value=pool // 5))
         rows.append((float(population), float(incidence), float(cancer_deaths)))
     return make_cohort(rows, open_last=open_last)
+
+
+@st.composite
+def edge_cohorts(draw, max_groups=18):
+    """Cohorts whose groups may have b = 0 or b = 1 exactly, as well as any b."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_groups))):
+        kind = draw(st.sampled_from(("any", "zero", "one")))
+        population = draw(st.integers(min_value=1, max_value=1_000_000))
+        population += -population % 5 if kind == "one" else 0  # so that 5x = n + 5dc is exact
+        cancer_deaths = draw(st.integers(min_value=0, max_value=max(1, population // 5)))
+        pool = population + 5 * cancer_deaths
+        if kind == "any":
+            incidence = draw(st.integers(min_value=0, max_value=pool // 5))
+        else:
+            incidence = 0 if kind == "zero" else pool // 5
+        rows.append((float(population), float(incidence), float(cancer_deaths)))
+    return make_cohort(rows, open_last=draw(st.booleans()))
 
 
 @given(cohorts())
@@ -109,3 +127,14 @@ def test_compare_is_antisymmetric(a, b):
         assert f.delta_cum_risk == -r.delta_cum_risk
         assert f.delta_p_red == -r.delta_p_red
         assert f.delta_p_off == -r.delta_p_off
+
+
+@given(edge_cohorts(), edge_cohorts())
+@settings(deadline=None)
+def test_compare_equals_the_difference_of_the_two_tables(a, b):
+    forward = compare(a, b)
+    # repr tells every double apart, the sign of a zero too
+    assert list(map(repr, forward.rows)) == list(map(repr, reference_comparison(a, b)))
+    assert (forward.steps_a, forward.steps_b) == (len(a), len(b))
+    for f, r in zip(forward.rows, compare(b, a).rows):
+        assert f[2:] == tuple(-delta for delta in r[2:])

@@ -129,13 +129,19 @@ def _off_counts(result):
     return [step.off_count for step in result.steps]
 
 
+def _use_cpus(monkeypatch, n):
+    # the simulator counts the CPUs in its affinity mask where the platform has one
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: n)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n_bulbs", [1, 3, 7, 8, 9, 5 * 8 + 3])
 def test_chunks_and_spans_change_no_count(monkeypatch, workers, n_bulbs):
     # chunks of 8 bulbs: n is one bulb, less than, exactly or just over one
     # chunk, and several chunks plus a remainder
     monkeypatch.setattr(simulator, "CHUNK", 8)
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: workers)
+    _use_cpus(monkeypatch, workers)
     cohort = ramp_cohort(b_high=0.5)
     for seed in (0, 2**64 - 1):
         result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=seed))
@@ -144,7 +150,7 @@ def test_chunks_and_spans_change_no_count(monkeypatch, workers, n_bulbs):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_full_size_chunks_match_the_one_shot_loop(monkeypatch, workers):
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: workers)
+    _use_cpus(monkeypatch, workers)
     cohort = ramp_cohort(groups=6)
     for n_bulbs in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
         result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=31))
@@ -153,7 +159,7 @@ def test_full_size_chunks_match_the_one_shot_loop(monkeypatch, workers):
 
 def test_more_threads_than_cores_switching_often_lose_no_count(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 4)
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    _use_cpus(monkeypatch, 8)
     cohort = ramp_cohort(b_high=0.5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -178,7 +184,7 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+    _use_cpus(monkeypatch, 4)
     monkeypatch.setattr(simulator.threading, "Thread", no_thread)
     cohort = ramp_cohort(groups=3)
     result = simulate(SimulationConfig(cohort=cohort, n_bulbs=CHUNK, seed=5))
@@ -195,7 +201,7 @@ def test_failing_worker_raises_in_the_caller(monkeypatch):
         return real(seed, b, start, stop)
 
     monkeypatch.setattr(simulator, "CHUNK", 4)
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(simulator, "_off_counts", fail_after_first_span)
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     threads_before = threading.active_count()
@@ -208,7 +214,7 @@ def test_failing_worker_raises_in_the_caller(monkeypatch):
 def test_memory_stays_flat_as_the_panel_grows(monkeypatch):
     # buffers of 10 bytes per bulb of a chunk in each of four workers; the
     # one-shot loop would need about 10 MB per 10**6 bulbs
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+    _use_cpus(monkeypatch, 4)
     cohort = ramp_cohort(groups=3)
     for n_bulbs in (10**6, 4 * 10**6):
         tracemalloc.start()
@@ -218,3 +224,30 @@ def test_memory_stays_flat_as_the_panel_grows(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, (n_bulbs, peak)
+
+
+def test_workers_follow_the_affinity_mask_not_the_cpu_count(monkeypatch):
+    # a container may let the process run on fewer CPUs than the machine has
+    started = []
+    real_thread = simulator.threading.Thread
+
+    def counted_thread(*args, **kwargs):
+        started.append(kwargs["args"][1])
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "CHUNK", 4)
+    monkeypatch.setattr(simulator.threading, "Thread", counted_thread)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    cohort = ramp_cohort(groups=3)
+    for affinity, spans in (({0}, []), ({0, 3}, [(16, 32)]), ({1, 2, 5}, [(12, 24), (24, 32)])):
+        started.clear()
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        result = simulate(SimulationConfig(cohort=cohort, n_bulbs=32, seed=4))
+        assert started == spans
+        assert _off_counts(result) == reference_off_counts(cohort, 32, 4)
+    # without an affinity call the CPU count decides
+    started.clear()
+    monkeypatch.delattr(simulator.os, "sched_getaffinity")
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    simulate(SimulationConfig(cohort=cohort, n_bulbs=32, seed=4))
+    assert started == [(12, 24), (24, 32)]
