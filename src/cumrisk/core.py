@@ -19,7 +19,6 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 __all__ = [
     "PROB_TOL",
@@ -132,8 +131,8 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class AgeGroupRecord:
+class AgeGroupRecord(namedtuple("AgeGroupRecord", "index age_low age_high population incidence cancer_deaths "
+                                                  "other_deaths", defaults=(None,))):
     """One five-year age group of an incidence table.
 
     ``age_high`` is exclusive, so the 0-4 years group is ``age_low=0,
@@ -144,13 +143,7 @@ class AgeGroupRecord:
     uses it.
     """
 
-    index: int
-    age_low: int
-    age_high: int | None
-    population: float
-    incidence: float
-    cancer_deaths: float
-    other_deaths: float | None = None
+    __slots__ = ()
 
     @property
     def is_open(self) -> bool:
@@ -158,12 +151,13 @@ class AgeGroupRecord:
 
     @property
     def age_label(self) -> str:
-        if self.is_open:
-            return f"{self.age_low}+"
-        return f"{self.age_low}-{self.age_high - 1}"
+        low, high = self.age_low, self.age_high
+        return f"{low}+" if high is None else f"{low}-{high - 1}"
 
     def validate(self) -> None:
         """Raise InvalidRecord describing the first violated invariant."""
+        # unpacked once: a field read by name is a slower path than a tuple unpacking
+        index, low, high, population, incidence, cancer_deaths, _ = self
         for name in ("population", "incidence", "cancer_deaths", "other_deaths"):
             value = getattr(self, name)
             if value is None and name == "other_deaths":
@@ -172,41 +166,34 @@ class AgeGroupRecord:
             if (type(value) is not float and not (_is_number(value, numbers.Real) and abs(value) <= _DOUBLE_MAX)
                     or not math.isfinite(value)):
                 raise InvalidRecord(f"{name} must be a finite real number, got {_show(value)}",
-                                    index=self.index, column=name)
+                                    index=index, column=name)
             if value < 0:
-                raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=self.index, column=name)
-        if self.population <= 0:
-            raise InconsistentRecord("population must be positive", index=self.index, column="population")
-        if 5.0 * self.incidence > self.population + 5.0 * self.cancer_deaths:
+                raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=index, column=name)
+        if population <= 0:
+            raise InconsistentRecord("population must be positive", index=index, column="population")
+        if 5.0 * incidence > population + 5.0 * cancer_deaths:
             raise InconsistentRecord(
-                f"5x > n + 5dc (5*{_show(self.incidence)} exceeds the at-risk pool "
-                f"{_show(self.population)} + 5*{_show(self.cancer_deaths)})",
-                index=self.index,
+                f"5x > n + 5dc (5*{_show(incidence)} exceeds the at-risk pool "
+                f"{_show(population)} + 5*{_show(cancer_deaths)})",
+                index=index,
                 column="incidence",
             )
-        low, high = self.age_low, self.age_high
         if type(low) is not int and not _is_number(low, numbers.Integral) or low < 0 or low % 5:
             raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {_show(low)}",
-                                    index=self.index, column="age_low")
+                                    index=index, column="age_low")
         if high is not None and (type(high) is not int and not _is_number(high, numbers.Integral)
                                  or high - low != 5):
             raise NonContiguousAges(
                 f"closed groups must span exactly 5 years, got {_show(low, str)}..{_show(high)}",
-                index=self.index,
+                index=index,
                 column="age_high",
             )
 
 
-@dataclass(frozen=True)
-class CohortMeta:
-    """Free-text labels saying where a cohort came from."""
-
-    region: str = ""
-    year: str = ""
-    sex: str = ""
+# Free-text labels saying where a cohort came from.
+CohortMeta = namedtuple("CohortMeta", "region year sex", defaults=("", "", ""))
 
 
-@dataclass(frozen=True)
 class Cohort:
     """Ordered, validated age-group records for one region/year/sex.
 
@@ -218,34 +205,41 @@ class Cohort:
     Construction is the one place records are validated, and the same pass
     builds the prefixes every query reads: ``b[i]`` is the transition
     probability of group i + 1, while ``p_off[t]`` (the probability of no
-    diagnosis by age 5t) and ``cum_rate[t]`` have index 0 at birth.
+    diagnosis by age 5t) and ``cum_rate[t]`` have index 0 at birth. A Cohort
+    is immutable: assigning to or deleting an attribute raises AttributeError.
     """
 
-    records: tuple[AgeGroupRecord, ...]
-    meta: CohortMeta = field(default_factory=CohortMeta)
-    b: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    p_off: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    cum_rate: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("records", "meta", "b", "p_off", "cum_rate")
 
-    def __post_init__(self):
-        records = tuple(self.records)
+    def __init__(self, records, meta: CohortMeta = CohortMeta()):
+        try:
+            records = iter(records)
+        except TypeError:
+            raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
+                                f"got {type(records).__name__}") from None
+        records = tuple(records)
         b, p_off, cum_rate = [], [1.0], [0.0]
         off = 1.0
         annual_sum = 0.0
         expected_low = 0
         for position, record in enumerate(records, start=1):
-            record.validate()
-            if record.index != position:
-                raise InvalidCohort(f"record at position {position} has index {_show(record.index, str)}; "
+            if not isinstance(record, AgeGroupRecord):
+                raise InvalidCohort(f"record at position {position} must be an AgeGroupRecord, "
+                                    f"got {type(record).__name__}", index=position)
+            index, age_low, age_high, population, incidence, cancer_deaths, _ = record
+            # True == 1 and 1.0 == 1, but neither is an index
+            if type(index) is not int or index != position:
+                raise InvalidCohort(f"record at position {position} has index {_show(index)}; "
                                     "indices must run 1..G", index=position)
+            record.validate()
             if expected_low is None:
                 raise NonContiguousAges("no group may follow an open-ended group", index=position)
-            if record.age_low != expected_low:
-                raise NonContiguousAges(f"age_low {_show(record.age_low, str)} breaks contiguity (expected "
+            if age_low != expected_low:
+                raise NonContiguousAges(f"age_low {_show(age_low, str)} breaks contiguity (expected "
                                         f"{expected_low})", index=position, column="age_low")
-            step_b = _transition_probability(record)
+            step_b = _transition_probability(population, incidence, cancer_deaths)
             off *= 1.0 - step_b
-            annual_sum += record.incidence / record.population
+            annual_sum += incidence / population
             rate = 5.0 * annual_sum
             if not 0.0 <= step_b <= 1.0:
                 raise InconsistentRecord(f"5x / (n + 5dc) = {step_b!r} is not a probability",
@@ -256,11 +250,18 @@ class Cohort:
             b.append(step_b)
             p_off.append(off)
             cum_rate.append(rate)
-            expected_low = record.age_high  # None after an open-ended group
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "p_off", tuple(p_off))
-        object.__setattr__(self, "cum_rate", tuple(cum_rate))
+            expected_low = age_high  # None after an open-ended group
+        for name, value in zip(Cohort.__slots__, (records, meta, tuple(b), tuple(p_off), tuple(cum_rate))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable Cohort")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return type(self), (self.records, self.meta)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -269,42 +270,48 @@ class Cohort:
         return iter(self.records)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+def _check_probability(name: str, value, slack: float) -> None:
+    if type(value) is not float and not _is_number(value, numbers.Real):
+        raise CumriskError(f"{name} must be a real number, got {_show(value)}")
+    if not -slack <= value <= 1.0 + slack:
+        raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
+
+
+class TransitionMatrix(namedtuple("TransitionMatrix", "p00 p01")):
     """Row-stochastic 2x2 one-step matrix; RED (second state) is absorbing.
 
     The RED row is fixed: a diagnosis is never undone. The OFF row must sum
     to 1 within PROB_TOL.
     """
 
-    p00: float
-    p01: float
+    __slots__ = ()
     p10 = 0.0
     p11 = 1.0
 
-    def __post_init__(self):
-        for name in ("p00", "p01"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
-        if abs(self.p00 + self.p01 - 1.0) > PROB_TOL:
-            raise CumriskError(f"OFF row must sum to 1, got {_show(self.p00)} + {_show(self.p01)}")
+    def __new__(cls, p00: float, p01: float):
+        _check_probability("p00", p00, 0.0)
+        _check_probability("p01", p01, 0.0)
+        if abs(p00 + p01 - 1.0) > PROB_TOL:
+            raise CumriskError(f"OFF row must sum to 1, got {_show(p00)} + {_show(p01)}")
+        return tuple.__new__(cls, (p00, p01))
+
+    # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector", "p_off p_red")):
     """Occupancy probabilities (OFF, RED) after some number of steps."""
 
-    p_off: float
-    p_red: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p_off", "p_red"):
-            value = getattr(self, name)
-            if not -PROB_TOL <= value <= 1.0 + PROB_TOL:
-                raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
-        if abs(self.p_off + self.p_red - 1.0) > PROB_TOL:
-            raise CumriskError(f"state must sum to 1, got {_show(self.p_off)} + {_show(self.p_red)}")
+    def __new__(cls, p_off: float, p_red: float):
+        _check_probability("p_off", p_off, PROB_TOL)
+        _check_probability("p_red", p_red, PROB_TOL)
+        if abs(p_off + p_red - 1.0) > PROB_TOL:
+            raise CumriskError(f"state must sum to 1, got {_show(p_off)} + {_show(p_red)}")
+        return tuple.__new__(cls, (p_off, p_red))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # as for TransitionMatrix
 
 
 # Every cohort starts from the same place: alive and cancer free.
@@ -317,11 +324,13 @@ NEWBORN_STATE = StateVector(p_off=1.0, p_red=0.0)
 RiskStep = namedtuple("RiskStep", "t age_label b cum_rate cum_risk p_red p_off")
 
 
-@dataclass
 class RiskSeries:
     """Per-step risk table for a whole cohort."""
 
-    steps: list[RiskStep]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[RiskStep]):
+        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -335,7 +344,6 @@ ComparisonRow = namedtuple("ComparisonRow",
                            "t age_label delta_b delta_cum_rate delta_cum_risk delta_p_red delta_p_off")
 
 
-@dataclass
 class ComparisonReport:
     """Aligned per-step differences between two cohorts.
 
@@ -343,9 +351,12 @@ class ComparisonReport:
     original lengths so truncation is never silent.
     """
 
-    rows: list[ComparisonRow]
-    steps_a: int
-    steps_b: int
+    __slots__ = ("rows", "steps_a", "steps_b")
+
+    def __init__(self, rows: list[ComparisonRow], steps_a: int, steps_b: int):
+        self.rows = rows
+        self.steps_a = steps_a
+        self.steps_b = steps_b
 
     @property
     def truncated(self) -> bool:
@@ -358,9 +369,9 @@ class ComparisonReport:
         return iter(self.rows)
 
 
-def _transition_probability(record: AgeGroupRecord) -> float:
+def _transition_probability(population: float, incidence: float, cancer_deaths: float) -> float:
     # 5x / (n + 5dc); callers validate the record first
-    return 5.0 * record.incidence / (record.population + 5.0 * record.cancer_deaths)
+    return 5.0 * incidence / (population + 5.0 * cancer_deaths)
 
 
 def estimate_transition(record: AgeGroupRecord) -> TransitionMatrix:
@@ -376,7 +387,7 @@ def estimate_transition(record: AgeGroupRecord) -> TransitionMatrix:
             transition probability above 1, i.e. inconsistent data).
     """
     record.validate()
-    p01 = _transition_probability(record)
+    p01 = _transition_probability(record.population, record.incidence, record.cancer_deaths)
     return TransitionMatrix(p00=1.0 - p01, p01=p01)
 
 

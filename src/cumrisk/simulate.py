@@ -22,7 +22,7 @@ counts of the spans are integers whose sum is exact.
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -48,48 +48,33 @@ MAX_BULBS = 10**8
 CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(namedtuple("SimulationConfig", "cohort n_bulbs seed")):
     """Inputs that fully determine a simulation run."""
 
-    cohort: Cohort
-    n_bulbs: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n_bulbs", "seed"):
-            value = getattr(self, name)
+    def __new__(cls, cohort: Cohort, n_bulbs: int, seed: int):
+        if not isinstance(cohort, Cohort):
+            raise CumriskError(f"cohort must be a Cohort, got {type(cohort).__name__}")
+        for name, value in (("n_bulbs", n_bulbs), ("seed", seed)):
             if not _is_number(value, numbers.Integral):
                 raise CumriskError(f"{name} must be an integer, got {_show(value)}")
-        if not 1 <= self.n_bulbs <= MAX_BULBS:
-            raise CumriskError(f"n_bulbs must be between 1 and {MAX_BULBS}, got {_show(self.n_bulbs, str)}")
-        if not 0 <= self.seed < 2**64:
-            raise CumriskError(f"seed must fit in an unsigned 64-bit integer, got {_show(self.seed, str)}")
+        if not 1 <= n_bulbs <= MAX_BULBS:
+            raise CumriskError(f"n_bulbs must be between 1 and {MAX_BULBS}, got {_show(n_bulbs, str)}")
+        if not 0 <= seed < 2**64:
+            raise CumriskError(f"seed must fit in an unsigned 64-bit integer, got {_show(seed, str)}")
+        return tuple.__new__(cls, (cohort, n_bulbs, seed))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class StepCounts:
-    t: int
-    off_count: int
-    red_count: int
+StepCounts = namedtuple("StepCounts", "t off_count red_count")
 
+# Per-step OFF/RED counts plus an echo of the configuration.
+SimulationResult = namedtuple("SimulationResult", "n_bulbs seed steps")
 
-@dataclass
-class SimulationResult:
-    """Per-step OFF/RED counts plus an echo of the configuration."""
-
-    n_bulbs: int
-    seed: int
-    steps: list[StepCounts]
-
-
-@dataclass(frozen=True)
-class EmpiricalStep:
-    """Observed state proportions at one step."""
-
-    t: int
-    p_red: float
-    p_off: float
+# Observed state proportions at one step.
+EmpiricalStep = namedtuple("EmpiricalStep", "t p_red p_off")
 
 
 def _off_counts(seed: int, b: tuple[float, ...], start: int, stop: int) -> list[int]:
@@ -155,14 +140,11 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         if isinstance(counts, BaseException):
             raise counts
         totals = [total + count for total, count in zip(totals, counts)]
-    steps = [StepCounts(t=t, off_count=off, red_count=n - off) for t, off in enumerate(totals, start=1)]
-    return SimulationResult(n_bulbs=n, seed=seed, steps=steps)
+    steps = [StepCounts(t, off, n - off) for t, off in enumerate(totals, start=1)]
+    return SimulationResult(n, seed, steps)
 
 
 def empirical_series(result: SimulationResult) -> list[EmpiricalStep]:
     """Counts as proportions, shaped like the analytic risk table."""
     n = result.n_bulbs
-    return [
-        EmpiricalStep(t=step.t, p_red=step.red_count / n, p_off=step.off_count / n)
-        for step in result.steps
-    ]
+    return [EmpiricalStep(step.t, step.red_count / n, step.off_count / n) for step in result.steps]

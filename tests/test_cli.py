@@ -274,7 +274,8 @@ argvs = (["compute", ramp], ["conditional", ramp, "--age", "40", "--horizon", "1
          ["compare", ramp, ramp], ["figures", ramp, "--out", figs])
 with contextlib.redirect_stdout(io.StringIO()):
     statuses = [cli.main(argv) for argv in argvs]
-print(json.dumps({"statuses": statuses, "numpy": "numpy" in sys.modules, "all": cumrisk.__all__,
+print(json.dumps({"statuses": statuses, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules, "all": cumrisk.__all__,
                   "unresolved": [name for name in cumrisk.__all__ if not hasattr(cumrisk, name)]}))
 """
 
@@ -287,6 +288,7 @@ def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_fi
     probe = json.loads(proc.stdout)
     assert probe["statuses"] == [0, 0, 0, 0]
     assert probe["numpy"] is False
+    assert probe["dataclasses"] is False
     assert len(probe["all"]) == len(set(probe["all"]))
     assert probe["unresolved"] == []
 

@@ -1,7 +1,8 @@
 """Unit tests for the analytic core: estimation, propagation, series, queries."""
 
-import dataclasses
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -304,8 +305,17 @@ class TestCohortPrefixes:
 
     def test_cohort_is_frozen(self):
         cohort = make_cohort([(1000.0, 20.0)])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             cohort.records = ()
+        with pytest.raises(AttributeError):
+            del cohort.b
+        assert len(cohort.records) == 1 and cohort.b == (0.1,)
+
+    def test_copy_and_pickle_rebuild_the_cohort(self):
+        cohort = ramp_cohort()
+        for clone in (copy.copy(cohort), copy.deepcopy(cohort), pickle.loads(pickle.dumps(cohort))):
+            assert (clone.records, clone.meta, clone.b, clone.p_off, clone.cum_rate) == \
+                (cohort.records, cohort.meta, cohort.b, cohort.p_off, cohort.cum_rate)
 
     def test_errors_name_the_group_and_column(self):
         with pytest.raises(InconsistentRecord) as err:
@@ -323,32 +333,54 @@ class TestCohortPrefixes:
 
 class TestTypeInvariants:
     def test_matrix_rejects_leaky_absorbing_row(self):
-        with pytest.raises(Exception):
+        with pytest.raises(TypeError):
             TransitionMatrix(p00=0.9, p01=0.1, p10=0.1, p11=0.9)
 
     def test_matrix_rejects_unnormalised_live_row(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CumriskError):
             TransitionMatrix(p00=0.6, p01=0.5)
 
     def test_matrix_rejects_out_of_range_entry(self):
-        with pytest.raises(Exception):
-            TransitionMatrix(p00=-0.5, p01=1.5)
+        # and entries that are not real numbers, and a _replace that would break the row
+        for make in (lambda: TransitionMatrix(p00=-0.5, p01=1.5),
+                     lambda: TransitionMatrix(p00="0.5", p01="0.5"),
+                     lambda: TransitionMatrix(p00=True, p01=False),
+                     lambda: TransitionMatrix(p00=0.5, p01=0.5)._replace(p01=1.5)):
+            with pytest.raises(CumriskError):
+                make()
 
     def test_state_rejects_unnormalised_vector(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CumriskError):
             StateVector(p_off=0.6, p_red=0.5)
 
     def test_state_rejects_negative_mass(self):
-        with pytest.raises(Exception):
-            StateVector(p_off=1.1, p_red=-0.1)
+        # and masses that are not real numbers, and a _replace that would break the sum
+        for make in (lambda: StateVector(p_off=1.1, p_red=-0.1),
+                     lambda: StateVector(p_off=None, p_red=1.0),
+                     lambda: StateVector(p_off=True, p_red=False),
+                     lambda: NEWBORN_STATE._replace(p_red=0.5)):
+            with pytest.raises(CumriskError):
+                make()
 
     def test_state_tolerates_rounding_noise(self):
         StateVector(p_off=1.0 + 1e-13, p_red=-1e-13)
 
     def test_cohort_rejects_index_gap(self):
-        records = [make_record(1, 1000.0, 1.0), make_record(3, 1000.0, 1.0)]
-        with pytest.raises(InvalidCohort):
-            Cohort(records=records, meta=CohortMeta())
+        # and an index that only compares equal to its position: True == 1, 1.0 == 1
+        first = make_record(1, 1000.0, 1.0)
+        for records, position in (([first, make_record(3, 1000.0, 1.0)], 2),
+                                  ([first._replace(index=True)], 1),
+                                  ([first, make_record(2, 1000.0, 1.0)._replace(index=2.0)], 2)):
+            with pytest.raises(InvalidCohort) as err:
+                Cohort(records=records, meta=CohortMeta())
+            assert err.value.index == position
+
+    def test_cohort_rejects_what_is_not_a_record(self):
+        first = make_record(1, 1000.0, 1.0)
+        for records, position in (([first, tuple(make_record(2, 1000.0, 1.0))], 2), ([1], 1), (None, None)):
+            with pytest.raises(InvalidCohort) as err:
+                Cohort(records=records)
+            assert err.value.index == position
 
     def test_cohort_rejects_age_gap(self):
         second = AgeGroupRecord(index=2, age_low=15, age_high=20,
@@ -394,7 +426,7 @@ class TestTypeInvariants:
 
     def test_record_rejects_bool_and_non_real_counts(self):
         for value in (True, "100", 1j, 10**400, 10**5000):
-            record = dataclasses.replace(make_record(1, 1000.0, 1.0), population=value)
+            record = make_record(1, 1000.0, 1.0)._replace(population=value)
             with pytest.raises(InvalidRecord) as err:
                 record.validate()
             assert (err.value.index, err.value.column) == (1, "population")
@@ -419,7 +451,7 @@ class TestTypeInvariants:
                 make()
 
     def test_matrix_keeps_only_the_off_row(self):
-        assert [f.name for f in dataclasses.fields(TransitionMatrix)] == ["p00", "p01"]
+        assert TransitionMatrix._fields == ("p00", "p01")
 
     def test_age_labels(self):
         assert make_record(1, 1000.0, 1.0).age_label == "0-4"

@@ -105,6 +105,15 @@ def test_config_rejects_empty_panel():
     for n_bulbs in (0, 2.5, True, "3", MAX_BULBS + 1, 10**5000):
         with pytest.raises(CumriskError):
             SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=1)
+    with pytest.raises(CumriskError):
+        SimulationConfig(cohort, 10, 1)._replace(n_bulbs=0)
+
+
+def test_config_rejects_what_is_not_a_cohort():
+    # simulate would fail later, on an attribute the value lacks
+    for cohort in ("x", None, ramp_cohort(groups=2).records):
+        with pytest.raises(CumriskError, match="cohort must be a Cohort"):
+            SimulationConfig(cohort, 10, 1)
 
 
 def test_config_rejects_seed_outside_word_range():
