@@ -46,69 +46,48 @@ def _load_cohort(path: str) -> Cohort:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # "\n", "\r" and "\r\n" end a line, for bytes.splitlines as for csv
         raise ParseError(f"{path!r} is not UTF-8 text ({exc.reason})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
-    return parse_cohort(text.replace("\r\n", "\n").replace("\r", "\n"))  # newlines as in text mode
+                         line=len((data[:exc.start] + b".").splitlines())) from None
+    return parse_cohort(text)
 
 
 def _write_output(document: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(document)
-    else:
+    if out is not None and out != "-":
         Path(out).write_text(document, encoding="utf-8")
+    elif sys.stdout is None:
+        raise CumriskError("standard output is closed")
+    else:
+        sys.stdout.write(document)
 
 
-def _cmd_compute(args) -> int:
-    cohort = _load_cohort(args.dataset)
-    series = risk_series(cohort)
+def _cmd_compute(args) -> str:
+    steps = risk_series(_load_cohort(args.dataset)).steps
     if args.upto is not None:
-        kept = [
-            step
-            for step, record in zip(series.steps, cohort.records)
-            if record.age_low <= args.upto
-        ]
-        if not kept:
-            raise OutOfRange(
-                f"--upto {args.upto} keeps no age groups "
-                f"(the first group starts at age {cohort.records[0].age_low})"
-            )
-        series = RiskSeries(kept)
-    _write_output(emit_series(series, args.format), args.out)
-    return 0
+        # groups are contiguous five-year spans from age 0, so group i starts at age 5 * (i - 1)
+        steps = steps[:max(0, args.upto // 5 + 1)]
+        if not steps:
+            raise OutOfRange(f"--upto {args.upto} keeps no age groups (the first group starts at age 0)")
+    return emit_series(RiskSeries(steps), args.format)
 
 
-def _cmd_conditional(args) -> int:
+def _cmd_conditional(args) -> str:
     cohort = _load_cohort(args.dataset)
     if args.age % 5 != 0 or args.horizon % 5 != 0:
         raise NotMultipleOfFive(
             f"--age and --horizon must be multiples of 5 years "
             f"(got --age {args.age} --horizon {args.horizon})"
         )
-    current_step = args.age // 5
-    horizon_steps = args.horizon // 5
-    groups = len(cohort.records)
-    if args.age < 0:
-        raise OutOfRange(f"--age must be >= 0, got {args.age}")
-    if horizon_steps < 1:
-        raise OutOfRange(f"--horizon must be at least 5 years, got {args.horizon}")
-    if current_step + horizon_steps > groups:
-        raise OutOfRange(
-            f"--age {args.age} plus --horizon {args.horizon} exceeds the data; "
-            f"the dataset's maximum age is {5 * groups} years "
-            f"(last group {cohort.records[-1].age_label})"
-        )
-    print(float_repr(conditional_risk(cohort, current_step, horizon_steps)))
-    return 0
+    return float_repr(conditional_risk(cohort, args.age // 5, args.horizon // 5)) + "\n"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     cohort_a = _load_cohort(args.dataset_a)
     cohort_b = _load_cohort(args.dataset_b)
-    _write_output(emit_comparison(compare(cohort_a, cohort_b), args.format), args.out)
-    return 0
+    return emit_comparison(compare(cohort_a, cohort_b), args.format)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     # Imported here so that only this subcommand loads numpy. cumrisk uses no
     # BLAS, whose idle threads would only take CPU from the simulator's.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -121,16 +100,14 @@ def _cmd_simulate(args) -> int:
         for emp, step in zip(empirical_series(result), risk_series(cohort).steps)
     ]
     head = {"seed": result.seed, "n_bulbs": result.n_bulbs}
-    _write_output(_emit_rows(SIMULATION_COLUMNS, rows, args.format, head, None), args.out)
-    return 0
+    return _emit_rows(SIMULATION_COLUMNS, rows, args.format, head, None)
 
 
-def _cmd_figures(args) -> int:
-    if not args.out:
+def _cmd_figures(args) -> str:
+    if not args.directory:
         raise CumriskError("--out directory must not be empty")
-    cohort = _load_cohort(args.dataset)
-    series = risk_series(cohort)
-    outdir = Path(args.out)
+    series = risk_series(_load_cohort(args.dataset))
+    outdir = Path(args.directory)
     outdir.mkdir(parents=True, exist_ok=True)
 
     def figure(*columns):
@@ -142,10 +119,8 @@ def _cmd_figures(args) -> int:
         "fig6_summary.csv": emit_series(series, "csv"),
     }
     for name, document in outputs.items():
-        path = outdir / name
-        path.write_text(document, encoding="utf-8")
-        print(path)
-    return 0
+        (outdir / name).write_text(document, encoding="utf-8")
+    return "".join(f"{outdir / name}\n" for name in outputs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="write the three result data series as CSV files")
     p.add_argument("dataset", help="cohort CSV file")
-    p.add_argument("--out", required=True, metavar="DIR", help="output directory")
+    p.add_argument("--out", required=True, dest="directory", metavar="DIR", help="output directory")
     p.set_defaults(func=_cmd_figures)
 
     return parser
@@ -199,10 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the text for stdout, or for the file of --out where the subcommand has one
+        _write_output(args.func(args), getattr(args, "out", None))
     except (CumriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -475,17 +475,22 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
 
     Raises:
         OutOfRange: unless 0 <= current_step, 1 <= horizon_steps and
-            current_step + horizon_steps <= number of groups.
+            current_step + horizon_steps <= number of groups; the message
+            gives the ages too.
     """
     groups = len(cohort.records)
     if current_step < 0:
-        raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)}")
+        raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)} "
+                         f"(age {_show(5 * current_step, str)} years)")
     if horizon_steps < 1:
-        raise OutOfRange(f"horizon must be at least one step, got {_show(horizon_steps, str)}")
+        raise OutOfRange(f"horizon must be at least one step (5 years), got {_show(horizon_steps, str)} "
+                         f"({_show(5 * horizon_steps, str)} years)")
     if current_step + horizon_steps > groups:
+        last = f" (last group {cohort.records[-1].age_label})" if groups else ""
         raise OutOfRange(
-            f"step {_show(current_step, str)} plus horizon {_show(horizon_steps, str)} exceeds the "
-            f"cohort's {groups} groups"
+            f"step {_show(current_step, str)} (age {_show(5 * current_step, str)}) plus horizon "
+            f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
+            f"{groups} groups; the maximum age is {5 * groups} years{last}"
         )
     off = 1.0
     for b in cohort.b[current_step:current_step + horizon_steps]:

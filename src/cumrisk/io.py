@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii
 from .core import (
     AgeGroupRecord,
     Cohort,
-    CohortMeta,
     ComparisonReport,
     ComparisonRow,
     CumriskError,
@@ -104,7 +103,7 @@ def _count_cell(cells, colmap, column, line) -> float:
     return value
 
 
-def parse_cohort(text: str, meta: CohortMeta | None = None) -> Cohort:
+def parse_cohort(text: str) -> Cohort:
     """Parse a cohort CSV document into a validated Cohort.
 
     Group indices are assigned 1..G in file order. Blank lines are skipped;
@@ -156,7 +155,7 @@ def parse_cohort(text: str, meta: CohortMeta | None = None) -> Cohort:
     if not records:
         raise EmptyCohort("no data rows found")
     try:
-        return Cohort(records=records, meta=meta or CohortMeta())
+        return Cohort(records=records)
     except (InvalidRecord, InvalidCohort) as exc:
         exc.line = lines[exc.index - 1]
         raise

@@ -100,14 +100,15 @@ class TestCompute:
         assert "line 3" in err
 
     def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
+        # the bad byte's line is counted as csv counts a parse error's: each line end is one
         bad = tmp_path / "latin1.csv"
-        bad.write_bytes(DEMO.encode("utf-8") + "10,15,1000,1,0 café\n".encode("latin-1"))
-        assert main(["compute", str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: line 4: ")
-        assert len(captured.err.splitlines()) == 1
-
+        for newline in ("\n", "\r\n", "\r"):
+            bad.write_bytes((DEMO + "10,15,1000,1,0 café\n").replace("\n", newline).encode("latin-1"))
+            assert main(["compute", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: line 4: "), (newline, captured.err)
+            assert len(captured.err.splitlines()) == 1
 
     def test_line_ends_are_read_as_in_text_mode(self, demo_file, tmp_path, capsys):
         assert main(["compute", demo_file]) == 0
@@ -262,6 +263,17 @@ class TestFigures:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", (["compute"], ["conditional", "--age", "0", "--horizon", "5"],
+                                  ["compare", "{dataset}"], ["simulate", "--bulbs", "10"],
+                                  ["figures", "--out", "{figures}"]), ids=lambda argv: argv[0])
+def test_closed_stdout_is_one_error_line(argv, demo_file, tmp_path, monkeypatch, capsys):
+    # what Python makes of sys.stdout when the shell closed it (`cumrisk compute x.csv >&-`)
+    monkeypatch.setattr(sys, "stdout", None)
+    argv = [arg.format(dataset=demo_file, figures=tmp_path / "figs") for arg in argv]
+    assert main([argv[0], demo_file, *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
 IMPORT_PROBE = """

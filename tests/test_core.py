@@ -244,11 +244,12 @@ class TestConditionalRisk:
 
     def test_rejects_bad_windows(self):
         cohort = make_cohort([(1000.0, 20.0)] * 3)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"got -1 \(age -5 years\)$"):
             conditional_risk(cohort, -1, 1)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"got 0 \(0 years\)$"):
             conditional_risk(cohort, 0, 0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"step 2 \(age 10\) plus horizon 2 \(10 years\) .*"
+                                             r"maximum age is 15 years \(last group 10-14\)$"):
             conditional_risk(cohort, 2, 2)
 
 

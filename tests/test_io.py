@@ -46,10 +46,10 @@ class TestParseCohort:
         assert cohort.records[2].is_open
 
     def test_meta_is_attached(self):
-        from cumrisk.core import CohortMeta
+        from cumrisk.core import Cohort, CohortMeta
 
         meta = CohortMeta(region="AUS", year="2010", sex="persons")
-        cohort = parse_cohort(doc("0,5,1000,2,1"), meta)
+        cohort = Cohort(records=parse_cohort(doc("0,5,1000,2,1")).records, meta=meta)
         assert cohort.meta == meta
 
     def test_header_is_case_insensitive_and_reorderable(self):
