@@ -55,8 +55,6 @@ def _load_cohort(path: str) -> Cohort:
 def _write_output(document: str, out: str | None) -> None:
     if out is not None and out != "-":
         Path(out).write_text(document, encoding="utf-8")
-    elif sys.stdout is None:
-        raise CumriskError("standard output is closed")
     else:
         sys.stdout.write(document)
 
@@ -173,9 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the text for stdout, or for the file of --out where the subcommand has one
+    out = getattr(args, "out", None)
     try:
-        # the text for stdout, or for the file of --out where the subcommand has one
-        _write_output(args.func(args), getattr(args, "out", None))
+        # checked first, so that no subcommand leaves files behind and then fails
+        if sys.stdout is None and (out is None or out == "-"):
+            raise CumriskError("standard output is closed")
+        _write_output(args.func(args), out)
     except (CumriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ like the classical cumulative risk, assumes cancer is the only cause of death.
 
 import math
 import numbers
+import operator
 import sys
 from collections import namedtuple
 
@@ -204,12 +205,13 @@ class Cohort:
 
     Construction is the one place records are validated, and the same pass
     builds the prefixes every query reads: ``b[i]`` is the transition
-    probability of group i + 1, while ``p_off[t]`` (the probability of no
-    diagnosis by age 5t) and ``cum_rate[t]`` have index 0 at birth. A Cohort
-    is immutable: assigning to or deleting an attribute raises AttributeError.
+    probability of group i + 1 and ``p00[i] = 1.0 - b[i]`` its chance of
+    staying OFF, while ``p_off[t]`` (the probability of no diagnosis by age
+    5t) and ``cum_rate[t]`` have index 0 at birth. A Cohort is immutable:
+    assigning to or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = ("records", "meta", "b", "p_off", "cum_rate")
+    __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate")
 
     def __init__(self, records, meta: CohortMeta = CohortMeta()):
         try:
@@ -218,7 +220,7 @@ class Cohort:
             raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
                                 f"got {type(records).__name__}") from None
         records = tuple(records)
-        b, p_off, cum_rate = [], [1.0], [0.0]
+        b, p00, p_off, cum_rate = [], [], [1.0], [0.0]
         off = 1.0
         annual_sum = 0.0
         expected_low = 0
@@ -238,7 +240,8 @@ class Cohort:
                 raise NonContiguousAges(f"age_low {_show(age_low, str)} breaks contiguity (expected "
                                         f"{expected_low})", index=position, column="age_low")
             step_b = _transition_probability(population, incidence, cancer_deaths)
-            off *= 1.0 - step_b
+            stay = 1.0 - step_b
+            off *= stay
             annual_sum += incidence / population
             rate = 5.0 * annual_sum
             if not 0.0 <= step_b <= 1.0:
@@ -248,10 +251,12 @@ class Cohort:
                 raise InconsistentRecord(f"the cumulative rate overflows to {rate!r}",
                                          index=position, column="incidence")
             b.append(step_b)
+            p00.append(stay)
             p_off.append(off)
             cum_rate.append(rate)
             expected_low = age_high  # None after an open-ended group
-        for name, value in zip(Cohort.__slots__, (records, meta, tuple(b), tuple(p_off), tuple(cum_rate))):
+        prefixes = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate))
+        for name, value in zip(Cohort.__slots__, prefixes):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -289,8 +294,10 @@ class TransitionMatrix(namedtuple("TransitionMatrix", "p00 p01")):
     p11 = 1.0
 
     def __new__(cls, p00: float, p01: float):
-        _check_probability("p00", p00, 0.0)
-        _check_probability("p01", p01, 0.0)
+        # one test for the common case; the checks below give the message, or accept an int or a numpy float
+        if not (type(p00) is float and type(p01) is float and 0.0 <= p00 <= 1.0 and 0.0 <= p01 <= 1.0):
+            _check_probability("p00", p00, 0.0)
+            _check_probability("p01", p01, 0.0)
         if abs(p00 + p01 - 1.0) > PROB_TOL:
             raise CumriskError(f"OFF row must sum to 1, got {_show(p00)} + {_show(p01)}")
         return tuple.__new__(cls, (p00, p01))
@@ -305,8 +312,9 @@ class StateVector(namedtuple("StateVector", "p_off p_red")):
     __slots__ = ()
 
     def __new__(cls, p_off: float, p_red: float):
-        _check_probability("p_off", p_off, PROB_TOL)
-        _check_probability("p_red", p_red, PROB_TOL)
+        if not (type(p_off) is float and type(p_red) is float and 0.0 <= p_off <= 1.0 and 0.0 <= p_red <= 1.0):
+            _check_probability("p_off", p_off, PROB_TOL)
+            _check_probability("p_red", p_red, PROB_TOL)
         if abs(p_off + p_red - 1.0) > PROB_TOL:
             raise CumriskError(f"state must sum to 1, got {_show(p_off)} + {_show(p_red)}")
         return tuple.__new__(cls, (p_off, p_red))
@@ -393,12 +401,21 @@ def estimate_transition(record: AgeGroupRecord) -> TransitionMatrix:
 
 def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:
     """Estimated matrices for every group of the cohort, in step order."""
-    return [TransitionMatrix(p00=1.0 - b, p01=b) for b in cohort.b]
+    return [TransitionMatrix(p00, b) for p00, b in zip(cohort.p00, cohort.b)]
 
 
-def _check_step(cohort: Cohort, t: int) -> None:
+def _step_index(name: str, value) -> int:
+    # bool is an Integral, but True is no step
+    if not _is_number(value, numbers.Integral):
+        raise OutOfRange(f"{name} must be an integer, got {_show(value)}")
+    return operator.index(value)
+
+
+def _check_step(cohort: Cohort, t) -> int:
+    t = _step_index("step", t)
     if not 1 <= t <= len(cohort.records):
         raise OutOfRange(f"step {_show(t, str)} outside the cohort's range 1..{len(cohort.records)}")
+    return t
 
 
 def cumulative_rate(cohort: Cohort, t: int) -> float:
@@ -407,9 +424,10 @@ def cumulative_rate(cohort: Cohort, t: int) -> float:
     This is a rate, not a probability; with enough groups it can exceed 1.
 
     Raises:
-        OutOfRange: unless 1 <= t <= number of groups.
+        OutOfRange: unless t is an integer and 1 <= t <= number of groups.
     """
-    _check_step(cohort, t)
+    if type(t) is not int or not 1 <= t <= len(cohort.records):
+        t = _check_step(cohort, t)
     return cohort.cum_rate[t]
 
 
@@ -429,13 +447,11 @@ def propagate(state: StateVector, matrices) -> StateVector:
 
     An empty sequence returns the starting state unchanged.
     """
-    p_off, p_red = state.p_off, state.p_red
-    for m in matrices:
-        p_off, p_red = (
-            p_off * m.p00 + p_red * m.p10,
-            p_off * m.p01 + p_red * m.p11,
-        )
-    return StateVector(p_off=p_off, p_red=p_red)
+    p10, p11 = TransitionMatrix.p10, TransitionMatrix.p11  # the fixed RED row
+    p_off, p_red = state
+    for p00, p01 in matrices:
+        p_off, p_red = p_off * p00 + p_red * p10, p_off * p01 + p_red * p11
+    return StateVector(p_off, p_red)
 
 
 def red_probability(cohort: Cohort, t: int) -> float:
@@ -447,9 +463,10 @@ def red_probability(cohort: Cohort, t: int) -> float:
     within PROB_TOL.
 
     Raises:
-        OutOfRange: unless 1 <= t <= number of groups.
+        OutOfRange: unless t is an integer and 1 <= t <= number of groups.
     """
-    _check_step(cohort, t)
+    if type(t) is not int or not 1 <= t <= len(cohort.records):
+        t = _check_step(cohort, t)
     return 1.0 - cohort.p_off[t]
 
 
@@ -470,32 +487,34 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
     Conditions on still being OFF at the end of ``current_step`` (step 0 is
     birth), so ``conditional_risk(cohort, 0, t)`` equals
     ``red_probability(cohort, t)``: both multiply the same survival factors
-    from 1.0. The window is multiplied out rather than taken as a ratio of
-    prefixes, which would divide by zero after a group with b = 1.
+    ``cohort.p00`` from 1.0, left to right. The window is multiplied out
+    rather than taken as a ratio of prefixes, which would divide by zero
+    after a group with b = 1.
 
     Raises:
-        OutOfRange: unless 0 <= current_step, 1 <= horizon_steps and
-            current_step + horizon_steps <= number of groups; the message
-            gives the ages too.
+        OutOfRange: unless both arguments are integers, 0 <= current_step,
+            1 <= horizon_steps and current_step + horizon_steps <= number of
+            groups; the message gives the ages too.
     """
     groups = len(cohort.records)
-    if current_step < 0:
-        raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)} "
-                         f"(age {_show(5 * current_step, str)} years)")
-    if horizon_steps < 1:
-        raise OutOfRange(f"horizon must be at least one step (5 years), got {_show(horizon_steps, str)} "
-                         f"({_show(5 * horizon_steps, str)} years)")
-    if current_step + horizon_steps > groups:
-        last = f" (last group {cohort.records[-1].age_label})" if groups else ""
-        raise OutOfRange(
-            f"step {_show(current_step, str)} (age {_show(5 * current_step, str)}) plus horizon "
-            f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
-            f"{groups} groups; the maximum age is {5 * groups} years{last}"
-        )
-    off = 1.0
-    for b in cohort.b[current_step:current_step + horizon_steps]:
-        off *= 1.0 - b
-    return 1.0 - off
+    if (type(current_step) is not int or type(horizon_steps) is not int
+            or not 0 <= current_step < current_step + horizon_steps <= groups):
+        current_step = _step_index("current step", current_step)
+        horizon_steps = _step_index("horizon", horizon_steps)
+        if current_step < 0:
+            raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)} "
+                             f"(age {_show(5 * current_step, str)} years)")
+        if horizon_steps < 1:
+            raise OutOfRange(f"horizon must be at least one step (5 years), got {_show(horizon_steps, str)} "
+                             f"({_show(5 * horizon_steps, str)} years)")
+        if current_step + horizon_steps > groups:
+            last = f" (last group {cohort.records[-1].age_label})" if groups else ""
+            raise OutOfRange(
+                f"step {_show(current_step, str)} (age {_show(5 * current_step, str)}) plus horizon "
+                f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
+                f"{groups} groups; the maximum age is {5 * groups} years{last}"
+            )
+    return 1.0 - math.prod(cohort.p00[current_step:current_step + horizon_steps], start=1.0)
 
 
 def compare(a: Cohort, b: Cohort) -> ComparisonReport:

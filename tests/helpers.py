@@ -1,9 +1,21 @@
 """Builders for synthetic cohorts shared across the test modules."""
 
+import numbers
+
 import numpy as np
 from numpy.random import Generator, Philox
 
-from cumrisk.core import AgeGroupRecord, Cohort, CohortMeta, ComparisonRow, risk_series
+from cumrisk.core import (
+    PROB_TOL,
+    AgeGroupRecord,
+    Cohort,
+    CohortMeta,
+    ComparisonRow,
+    CumriskError,
+    StateVector,
+    TransitionMatrix,
+    risk_series,
+)
 
 
 def make_record(index, population, incidence, cancer_deaths=0.0, other_deaths=None,
@@ -77,3 +89,54 @@ def reference_comparison(a, b):
                       step_a.p_off - step_b.p_off)
         for step_a, step_b in zip(series_a.steps, series_b.steps)
     ]
+
+
+def reference_conditional_risk(cohort, current_step, horizon_steps):
+    """The window's survival product as a plain loop over ``cohort.b``.
+
+    The plainest reading of ``conditional_risk``; its one product over the
+    stored ``cohort.p00`` must reproduce every double exactly.
+    """
+    off = 1.0
+    for b in cohort.b[current_step:current_step + horizon_steps]:
+        off *= 1.0 - b
+    return 1.0 - off
+
+
+def reference_propagate(state, matrices):
+    """Propagation that reads every entry by name, including the fixed RED row."""
+    p_off, p_red = state.p_off, state.p_red
+    for m in matrices:
+        p_off, p_red = (
+            p_off * m.p00 + p_red * m.p10,
+            p_off * m.p01 + p_red * m.p11,
+        )
+    return StateVector(p_off=p_off, p_red=p_red)
+
+
+def _reference_check_probability(name, value, slack):
+    if type(value) is not float and not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        raise CumriskError(f"{name} must be a real number, got {value!r}")
+    if not -slack <= value <= 1.0 + slack:
+        raise CumriskError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def reference_value_check(cls, first, second):
+    """What building ``cls(first, second)`` raises, as ``(type, message)``, or None.
+
+    The checks of ``TransitionMatrix`` and ``StateVector`` written out one by
+    one, with no fast path for the common case; the constructors must accept
+    and reject exactly as this does, with the same message.
+    """
+    names, slack, what = {
+        TransitionMatrix: (("p00", "p01"), 0.0, "OFF row"),
+        StateVector: (("p_off", "p_red"), PROB_TOL, "state"),
+    }[cls]
+    try:
+        _reference_check_probability(names[0], first, slack)
+        _reference_check_probability(names[1], second, slack)
+        if abs(first + second - 1.0) > PROB_TOL:
+            raise CumriskError(f"{what} must sum to 1, got {first!r} + {second!r}")
+    except CumriskError as exc:
+        return type(exc), str(exc)
+    return None

@@ -274,6 +274,8 @@ def test_closed_stdout_is_one_error_line(argv, demo_file, tmp_path, monkeypatch,
     argv = [arg.format(dataset=demo_file, figures=tmp_path / "figs") for arg in argv]
     assert main([argv[0], demo_file, *argv[1:]]) == 1
     assert capsys.readouterr().err == "error: standard output is closed\n"
+    # the error comes before the subcommand runs, so figures writes nothing
+    assert not (tmp_path / "figs").exists()
 
 
 IMPORT_PROBE = """

@@ -3,7 +3,9 @@
 import copy
 import math
 import pickle
+import re
 
+import numpy as np
 import pytest
 
 from cumrisk.core import (
@@ -253,6 +255,25 @@ class TestConditionalRisk:
             conditional_risk(cohort, 2, 2)
 
 
+QUERIES = {
+    "red_probability": red_probability,
+    "cumulative_rate": cumulative_rate,
+    "conditional_risk.horizon": lambda cohort, t: conditional_risk(cohort, 0, t),
+    "conditional_risk.current_step": lambda cohort, t: conditional_risk(cohort, t, 1),
+}
+
+
+@pytest.mark.parametrize("query", QUERIES.values(), ids=QUERIES.keys())
+@pytest.mark.parametrize("step", (True, 1.0, "2", None, np.int64(2)), ids=repr)
+def test_queries_take_only_integer_steps(query, step):
+    cohort = ramp_cohort()
+    if isinstance(step, np.integer):
+        assert query(cohort, step) == query(cohort, int(step))
+    else:
+        with pytest.raises(OutOfRange, match=f"must be an integer, got {re.escape(repr(step))}$"):
+            query(cohort, step)
+
+
 class TestCompare:
     def test_identical_cohorts_give_zero_deltas(self):
         a = ramp_cohort()
@@ -301,6 +322,7 @@ class TestCohortPrefixes:
     def test_prefixes_start_at_birth(self):
         cohort = make_cohort([(1000.0, 20.0), (1000.0, 40.0)])
         assert cohort.b == (0.1, 0.2)
+        assert cohort.p00 == (1.0 - 0.1, 1.0 - 0.2)
         assert cohort.p_off == (1.0, 0.9, 0.9 * (1.0 - 0.2))
         assert cohort.cum_rate == (0.0, 5.0 * 0.02, 5.0 * (0.02 + 0.04))
 
@@ -315,8 +337,8 @@ class TestCohortPrefixes:
     def test_copy_and_pickle_rebuild_the_cohort(self):
         cohort = ramp_cohort()
         for clone in (copy.copy(cohort), copy.deepcopy(cohort), pickle.loads(pickle.dumps(cohort))):
-            assert (clone.records, clone.meta, clone.b, clone.p_off, clone.cum_rate) == \
-                (cohort.records, cohort.meta, cohort.b, cohort.p_off, cohort.cum_rate)
+            assert (clone.records, clone.meta, clone.b, clone.p00, clone.p_off, clone.cum_rate) == \
+                (cohort.records, cohort.meta, cohort.b, cohort.p00, cohort.p_off, cohort.cum_rate)
 
     def test_errors_name_the_group_and_column(self):
         with pytest.raises(InconsistentRecord) as err:

@@ -1,10 +1,19 @@
 """Property-based checks of the model's algebraic identities."""
 
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumrisk.core import (
     NEWBORN_STATE,
+    PROB_TOL,
+    CumriskError,
+    StateVector,
+    TransitionMatrix,
     compare,
     conditional_risk,
     propagate,
@@ -13,7 +22,13 @@ from cumrisk.core import (
     transition_matrices,
 )
 from cumrisk.io import emit_cohort, emit_series, parse_cohort
-from helpers import make_cohort, reference_comparison
+from helpers import (
+    make_cohort,
+    reference_comparison,
+    reference_conditional_risk,
+    reference_propagate,
+    reference_value_check,
+)
 
 TOL = 1e-12
 
@@ -138,3 +153,100 @@ def test_compare_equals_the_difference_of_the_two_tables(a, b):
     assert (forward.steps_a, forward.steps_b) == (len(a), len(b))
     for f, r in zip(forward.rows, compare(b, a).rows):
         assert f[2:] == tuple(-delta for delta in r[2:])
+
+
+@given(edge_cohorts())
+@settings(deadline=None)
+def test_query_kernels_give_the_doubles_of_the_plain_loops(cohort):
+    groups = len(cohort)
+    assert list(map(repr, cohort.p00)) == [repr(1.0 - b) for b in cohort.b]
+    windows = [(s, h) for s in range(groups) for h in range(1, groups - s + 1)]
+    assert [repr(conditional_risk(cohort, s, h)) for s, h in windows] == \
+        [repr(reference_conditional_risk(cohort, s, h)) for s, h in windows]
+    matrices = transition_matrices(cohort)
+    assert list(map(repr, matrices)) == [repr(TransitionMatrix(1.0 - b, b)) for b in cohort.b]
+    state = expected = NEWBORN_STATE
+    for matrix in matrices:
+        state, expected = propagate(state, (matrix,)), reference_propagate(expected, (matrix,))
+        assert repr(state) == repr(expected)
+    assert repr(propagate(NEWBORN_STATE, matrices)) == repr(reference_propagate(NEWBORN_STATE, matrices))
+
+
+class _Real(float):
+    """A float subclass: not the exact type the constructors' fast path takes."""
+
+
+def _neighbours(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+EDGE_ENTRIES = (
+    0.0, -0.0, 0.5, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, sys.float_info.min / 2,
+    *_neighbours(0.0), *_neighbours(1.0),
+    *_neighbours(PROB_TOL), *_neighbours(-PROB_TOL), *_neighbours(1.0 + PROB_TOL),
+    *_neighbours(1.0 - PROB_TOL), *_neighbours(-2 * PROB_TOL),
+    0, 1, True, False, np.float64(0.5), np.float64(1.0), np.float64(math.nan), _Real(0.25), _Real(1.0),
+    "0.5", None,
+)
+
+
+@st.composite
+def entry_pairs(draw):
+    """Two entries from EDGE_ENTRIES, or a pair whose sum misses 1 by about PROB_TOL, a few ulps either way."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(EDGE_ENTRIES)), draw(st.sampled_from(EDGE_ENTRIES))
+    first = draw(st.floats(min_value=0.0, max_value=1.0))
+    second = 1.0 - first + draw(st.sampled_from((PROB_TOL, -PROB_TOL)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        second = math.nextafter(second, draw(st.sampled_from((-math.inf, math.inf))))
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
+@given(st.sampled_from((TransitionMatrix, StateVector)), entry_pairs())
+@settings(max_examples=500, deadline=None)
+def test_value_constructors_accept_and_reject_as_the_plain_checks(cls, pair):
+    expected = reference_value_check(cls, *pair)
+    try:
+        value = cls(*pair)
+    except CumriskError as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert all(got is given for got, given in zip(value, pair))
+
+
+@st.composite
+def tiny_b_cohorts(draw, max_groups=18):
+    """Cohorts whose transition probabilities may be tiny (1e-6 to 1e-3), as well as any b."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_groups))):
+        # at most 0.99, so that 5x never rounds past n; edge_cohorts covers b = 1
+        b = draw(st.one_of(st.floats(min_value=1e-6, max_value=1e-3), st.floats(min_value=0.0, max_value=0.99)))
+        population = draw(st.floats(min_value=1.0, max_value=1e9))
+        rows.append((population, b * population / 5.0))
+    return make_cohort(rows, open_last=draw(st.booleans()))
+
+
+ULP_OF_ONE_HALF = Fraction(1, 2**53)
+
+
+def _exact_risk(cohort, s, h):
+    off = Fraction(1)
+    for b in cohort.b[s:s + h]:
+        off *= 1 - Fraction(b)
+    return 1 - off
+
+
+@given(tiny_b_cohorts())
+@settings(deadline=None)
+def test_window_products_are_within_their_rounding_bound_of_the_exact_value(cohort):
+    # h rounded 1 - b, h - 1 rounded products and the final subtraction, each
+    # within 2**-53 of a value no larger than 1
+    groups = len(cohort)
+    for s in range(groups):
+        for h in range(1, groups - s + 1):
+            exact = _exact_risk(cohort, s, h)
+            assert abs(Fraction(conditional_risk(cohort, s, h)) - exact) <= (2 * h + 1) * ULP_OF_ONE_HALF
+            if s == 0:
+                assert abs(Fraction(red_probability(cohort, h)) - exact) <= (2 * h + 1) * ULP_OF_ONE_HALF
