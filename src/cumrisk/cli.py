@@ -25,17 +25,13 @@ from .core import (
 )
 from .io import ParseError, _emit_rows, emit_comparison, emit_series, float_repr, parse_cohort
 
-__all__ = ["main", "NotMultipleOfFive"]
+__all__ = ["main"]
 
 SIMULATION_COLUMNS = ("t", "age_label", "empirical_p_red", "analytic_p_red", "diff")
 
 # Input files are read up to this many bytes; a larger one is refused. An
 # 18-group table is under 1 KB, and /dev/zero or a FIFO must not fill memory.
 MAX_INPUT_BYTES = 16 * 2**20
-
-
-class NotMultipleOfFive(CumriskError):
-    """CLI ages and horizons must align to the five-year grid."""
 
 
 def _load_cohort(path: str) -> Cohort:
@@ -52,13 +48,6 @@ def _load_cohort(path: str) -> Cohort:
     return parse_cohort(text)
 
 
-def _write_output(document: str, out: str | None) -> None:
-    if out is not None and out != "-":
-        Path(out).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
-
-
 def _cmd_compute(args) -> str:
     steps = risk_series(_load_cohort(args.dataset)).steps
     if args.upto is not None:
@@ -72,10 +61,8 @@ def _cmd_compute(args) -> str:
 def _cmd_conditional(args) -> str:
     cohort = _load_cohort(args.dataset)
     if args.age % 5 != 0 or args.horizon % 5 != 0:
-        raise NotMultipleOfFive(
-            f"--age and --horizon must be multiples of 5 years "
-            f"(got --age {args.age} --horizon {args.horizon})"
-        )
+        raise OutOfRange(f"--age and --horizon must be multiples of 5 years "
+                         f"(got --age {args.age} --horizon {args.horizon})")
     return float_repr(conditional_risk(cohort, args.age // 5, args.horizon // 5)) + "\n"
 
 
@@ -172,12 +159,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # the text for stdout, or for the file of --out where the subcommand has one
-    out = getattr(args, "out", None)
+    to_stdout = getattr(args, "out", None) in (None, "-")
     try:
         # checked first, so that no subcommand leaves files behind and then fails
-        if sys.stdout is None and (out is None or out == "-"):
+        if to_stdout and sys.stdout is None:
             raise CumriskError("standard output is closed")
-        _write_output(args.func(args), out)
+        document = args.func(args)
+        if to_stdout:
+            sys.stdout.write(document)
+        else:
+            Path(args.out).write_text(document, encoding="utf-8")
     except (CumriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -215,11 +215,10 @@ class Cohort:
 
     def __init__(self, records, meta: CohortMeta = CohortMeta()):
         try:
-            records = iter(records)
+            records = tuple(records)
         except TypeError:
             raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
                                 f"got {type(records).__name__}") from None
-        records = tuple(records)
         b, p00, p_off, cum_rate = [], [], [1.0], [0.0]
         off = 1.0
         annual_sum = 0.0

@@ -77,43 +77,25 @@ def _count_repr(value: float) -> str:
     return repr(f)
 
 
-def _cell(cells: list[str], colmap: dict[str, int], column: str, line: int) -> str:
-    idx = colmap[column]
-    if idx >= len(cells):
-        raise MalformedNumber("missing value", line=line, column=column)
-    return cells[idx]
-
-
-def _int_cell(cells, colmap, column, line) -> int:
-    raw = _cell(cells, colmap, column, line)
+def _number(kind, raw: str, line: int, column: str):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise MalformedNumber(f"expected an integer, got {raw!r}", line=line, column=column) from None
-
-
-def _count_cell(cells, colmap, column, line) -> float:
-    raw = _cell(cells, colmap, column, line)
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedNumber(f"expected a number, got {raw!r}", line=line, column=column) from None
-    if not math.isfinite(value):
-        raise MalformedNumber(f"expected a finite number, got {raw!r}", line=line, column=column)
-    return value
+        expected = "an integer" if kind is int else "a number"
+        raise MalformedNumber(f"expected {expected}, got {raw!r}", line=line, column=column) from None
 
 
 def parse_cohort(text: str) -> Cohort:
     """Parse a cohort CSV document into a validated Cohort.
 
     Group indices are assigned 1..G in file order. Blank lines are skipped;
-    unknown extra columns are ignored. The parser reads the table; building
-    the Cohort validates it, and an error there is given the line of the
-    group it names.
+    unknown extra columns are ignored, even when repeated or blank. The
+    parser reads the table; building the Cohort validates it, and an error
+    there is given the line of the group it names.
     """
     # csv finds the line ends itself; str.splitlines would also break at form feeds
     reader = csv.reader(StringIO(text.lstrip("\ufeff"), newline=""))
-    colmap: dict[str, int] | None = None
+    positions = None
     records: list[AgeGroupRecord] = []
     lines: list[int] = []  # the line of each group, in index order
     try:
@@ -122,33 +104,32 @@ def parse_cohort(text: str) -> Cohort:
             cells = [cell.strip() for cell in row]
             if not any(cells):
                 continue
-            if colmap is None:
+            if positions is None:
+                # the position of each column read: REQUIRED_COLUMNS, then other_deaths if present
                 names = [cell.lower() for cell in cells]
-                colmap = {}
-                for idx, name in enumerate(names):
-                    if name in colmap:
+                read = [name for name in names if name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
+                for idx, name in enumerate(read):
+                    if name in read[:idx]:
                         raise ParseError("duplicate column", line=line, column=name)
-                    colmap[name] = idx
                 for name in REQUIRED_COLUMNS:
-                    if name not in colmap:
-                        raise MissingColumn("required column missing from header",
-                                            line=line, column=name)
+                    if name not in read:
+                        raise MissingColumn("required column missing from header", line=line, column=name)
+                positions = [names.index(name) for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if name in read]
+                low_at, high_at, population_at, incidence_at, deaths_at = positions[:5]
+                width = max(positions[:5]) + 1
+                other_at = positions[5] if len(positions) > 5 else -1  # -1: not in the header
                 continue
-            age_low = _int_cell(cells, colmap, "age_low", line)
-            open_group = _cell(cells, colmap, "age_high", line).lower() == "open"
-            other_idx = colmap.get("other_deaths", len(cells))  # absent or empty: not given
-            other_given = other_idx < len(cells) and cells[other_idx] != ""
-            records.append(
-                AgeGroupRecord(
-                    index=len(records) + 1,
-                    age_low=age_low,
-                    age_high=None if open_group else _int_cell(cells, colmap, "age_high", line),
-                    population=_count_cell(cells, colmap, "population", line),
-                    incidence=_count_cell(cells, colmap, "incidence", line),
-                    cancer_deaths=_count_cell(cells, colmap, "cancer_deaths", line),
-                    other_deaths=_count_cell(cells, colmap, "other_deaths", line) if other_given else None,
-                )
-            )
+            if len(cells) < width:
+                column = next(name for name, at in zip(REQUIRED_COLUMNS, positions) if at >= len(cells))
+                raise MalformedNumber("missing value", line=line, column=column)
+            other = cells[other_at] if 0 <= other_at < len(cells) else ""  # absent or empty: not given
+            records.append(AgeGroupRecord(
+                len(records) + 1, _number(int, cells[low_at], line, "age_low"),
+                None if cells[high_at].lower() == "open" else _number(int, cells[high_at], line, "age_high"),
+                _number(float, cells[population_at], line, "population"),
+                _number(float, cells[incidence_at], line, "incidence"),
+                _number(float, cells[deaths_at], line, "cancer_deaths"),
+                None if other == "" else _number(float, other, line, "other_deaths")))
             lines.append(line)
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None

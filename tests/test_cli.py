@@ -99,6 +99,15 @@ class TestCompute:
         assert "population" in err
         assert "line 3" in err
 
+    def test_non_finite_count_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(DEMO.replace("1000,40", "nan,40"), encoding="utf-8")
+        assert main(["compute", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 3, column 'population': "
+                                "population must be a finite real number, got nan\n")
+
     def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
         # the bad byte's line is counted as csv counts a parse error's: each line end is one
         bad = tmp_path / "latin1.csv"

@@ -309,6 +309,8 @@ class TestCompare:
         assert report.truncated
         assert (report.steps_a, report.steps_b) == (10, 4)
         assert len(report.rows) == 4
+        assert len(report) == 4
+        assert list(report) == report.rows
 
     def test_empty_cohort_has_no_overlap(self):
         empty = Cohort(records=[], meta=CohortMeta())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cumrisk.core import CumriskError, compare, risk_series
+from cumrisk.core import CumriskError, InvalidRecord, compare, risk_series
 from cumrisk.io import (
     COMPARISON_COLUMNS,
     SERIES_COLUMNS,
@@ -98,6 +98,34 @@ class TestParseCohort:
         text = HEADER + ",age_low\n0,5,1000,2,1,0\n"
         with pytest.raises(ParseError, match="duplicate"):
             parse_cohort(text)
+
+    @pytest.mark.parametrize("header, rows", [
+        (HEADER + ",,", ("0,5,1000,2,1,,", "5,10,1100,3,0,,")),
+        (HEADER + ",notes,notes", ("0,5,1000,2,1,a,b", "5,10,1100,3,0,c,d")),
+    ], ids=["two trailing commas", "notes twice"])
+    def test_unread_columns_may_repeat_or_be_blank(self, header, rows):
+        plain = parse_cohort(doc("0,5,1000,2,1", "5,10,1100,3,0"))
+        assert parse_cohort(doc(*rows, header=header)).records == plain.records
+
+    @pytest.mark.parametrize("column", ["age_low", "other_deaths"])
+    def test_a_read_column_given_twice_is_refused(self, column):
+        text = doc("0,5,1000,2,1,3,0", header=f"{HEADER},other_deaths,{column}")
+        with pytest.raises(ParseError) as err:
+            parse_cohort(text)
+        assert (type(err.value), err.value.line, err.value.column) == (ParseError, 1, column)
+        assert str(err.value) == f"line 1, column {column!r}: duplicate column"
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", ["population", "incidence", "cancer_deaths", "other_deaths"])
+    def test_a_non_finite_count_is_an_invalid_record_at_its_line_and_column(self, column, cell):
+        row = dict(zip(HEADER.split(",") + ["other_deaths"], ["5", "10", "1000", "2", "1", "3"]))
+        row[column] = cell
+        text = doc("0,5,1000,2,1,3", ",".join(row.values()), header=HEADER + ",other_deaths")
+        with pytest.raises(InvalidRecord) as err:
+            parse_cohort(text)
+        assert (type(err.value), err.value.line, err.value.column) == (InvalidRecord, 3, column)
+        shown = repr(float(cell))
+        assert str(err.value) == f"line 3, column {column!r}: {column} must be a finite real number, got {shown}"
 
     def test_malformed_number_names_line_and_column(self):
         with pytest.raises(MalformedNumber) as err:
@@ -350,3 +378,12 @@ def test_json_writer_gives_the_bytes_of_json_dumps(table):
     columns, rows, head = table
     expected = json.dumps({**head, "steps": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
     assert _emit_rows(columns, rows, "json", head, None) == expected
+
+
+def test_json_writer_refuses_a_value_json_dumps_refuses():
+    value = object()
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"steps": [{"a": value}]})
+    with pytest.raises(TypeError) as err:
+        _emit_rows(("a",), [(value,)], "json", {}, None)
+    assert str(err.value) == str(expected.value) == "Object of type object is not JSON serializable"

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -250,3 +251,66 @@ def test_window_products_are_within_their_rounding_bound_of_the_exact_value(coho
             assert abs(Fraction(conditional_risk(cohort, s, h)) - exact) <= (2 * h + 1) * ULP_OF_ONE_HALF
             if s == 0:
                 assert abs(Fraction(red_probability(cohort, h)) - exact) <= (2 * h + 1) * ULP_OF_ONE_HALF
+
+
+any_b_cohorts = st.one_of(tiny_b_cohorts(), edge_cohorts())
+
+# Half the smallest subnormal: the most a result that rounds into the subnormal range loses.
+HALF_SUBNORMAL = Fraction(1, 2**1075)
+# The relative error of b after four roundings: 5.0 * x, 5.0 * dc, the pool n + 5dc and the quotient.
+B_RELATIVE = (1 + ULP_OF_ONE_HALF)**2 / (1 - 2 * ULP_OF_ONE_HALF - ULP_OF_ONE_HALF**2) - 1
+
+
+def _exact_columns(cohort):
+    """Per step, each analytic column's exact value and the bound on the error of its double.
+
+    b and cum_rate are exact from the stored counts, cum_risk is 1 - exp(-rate)
+    of the exact rate in 60-digit Decimal, and p_red and p_off are exact from
+    the stored b, as for the window products above.
+    """
+    u = ULP_OF_ONE_HALF
+    rows = []
+    annual_sum = Fraction(0)
+    off = Fraction(1)
+    for t, (record, b) in enumerate(zip(cohort.records, cohort.b), start=1):
+        population, incidence, cancer_deaths = map(Fraction, (record.population, record.incidence,
+                                                              record.cancer_deaths))
+        exact_b = 5 * incidence / (population + 5 * cancer_deaths)
+        annual_sum += incidence / population
+        rate = 5 * annual_sum
+        with localcontext() as context:
+            context.prec = 60
+            survive = Fraction((-Decimal(rate.numerator) / Decimal(rate.denominator)).exp())
+        off *= 1 - Fraction(b)
+        rows.append({
+            # a quotient that rounds into the subnormal range also loses up to HALF_SUBNORMAL
+            "b": (exact_b, B_RELATIVE * exact_b + HALF_SUBNORMAL),
+            # t quotients, t - 1 additions and the final * 5.0; 5.0 scales each quotient's subnormal loss
+            "cum_rate": (rate, (2 * t + 1) * u * rate + (5 * t + 1) * HALF_SUBNORMAL),
+            # the rate's error through exp(-rate), then the rounding of exp and of the subtraction
+            "cum_risk": (1 - survive, ((2 * t + 1) * rate * survive + 2) * u),
+            "p_red": (1 - off, (2 * t + 1) * u),
+            "p_off": (off, (2 * t + 1) * u),
+        })
+    return rows
+
+
+@given(any_b_cohorts)
+@settings(deadline=None)
+def test_series_columns_are_within_their_rounding_bounds_of_the_exact_values(cohort):
+    for step, exact in zip(risk_series(cohort), _exact_columns(cohort)):
+        for column, (value, bound) in exact.items():
+            assert abs(Fraction(getattr(step, column)) - value) <= bound, (step.t, column)
+
+
+@given(any_b_cohorts, any_b_cohorts)
+@settings(deadline=None)
+def test_comparison_deltas_are_within_their_columns_bounds_of_the_exact_differences(a, b):
+    steps = zip(compare(a, b).rows, risk_series(a), risk_series(b), _exact_columns(a), _exact_columns(b))
+    for row, step_a, step_b, exact_a, exact_b in steps:
+        for column in exact_a:
+            (value_a, bound_a), (value_b, bound_b) = exact_a[column], exact_b[column]
+            # one more rounding: the difference of the two columns' doubles
+            difference = Fraction(getattr(step_a, column)) - Fraction(getattr(step_b, column))
+            bound = bound_a + bound_b + ULP_OF_ONE_HALF * abs(difference)
+            assert abs(Fraction(getattr(row, f"delta_{column}")) - (value_a - value_b)) <= bound, (row.t, column)
