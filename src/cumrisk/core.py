@@ -215,10 +215,11 @@ class Cohort:
 
     def __init__(self, records, meta: CohortMeta = CohortMeta()):
         try:
-            records = tuple(records)
+            iterator = iter(records)
         except TypeError:
             raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
                                 f"got {type(records).__name__}") from None
+        records = tuple(iterator)
         b, p00, p_off, cum_rate = [], [], [1.0], [0.0]
         off = 1.0
         annual_sum = 0.0

@@ -6,26 +6,27 @@ transition probability; once RED it stays RED. Per-step OFF/RED counts give
 an empirical estimate of the analytic red-state probability, which makes the
 simulator an independent oracle for the closed-form math.
 
-Uniform draws come from counter-mode Philox streams keyed by (seed, step),
+Draws are raw 64-bit words of counter-mode Philox streams keyed by (seed, step),
 so the draw consumed by bulb b at step t is a pure function of (seed, t, b).
 A given configuration therefore produces bit-identical results no matter how
-the population is iterated or partitioned. Every bulb draws at every step;
-bulbs that are already RED simply ignore theirs.
+the population is iterated or partitioned. Every bulb draws at every step up to
+one that turns every bulb RED; bulbs that are already RED ignore theirs.
 
 The bulbs are processed in chunks of CHUNK, so memory stays at a few
 buffers per worker whatever the population. Populations above one chunk are
 split into contiguous spans, one per CPU, that run on threads: numpy
-releases the GIL while it fills draws and compares them, and the per-step
+releases the GIL while it fills raw draws and compares them, and the per-step
 counts of the spans are integers whose sum is exact.
 """
 
+import math
 import numbers
 import os
 import threading
 from collections import namedtuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .core import Cohort, CumriskError, _is_number, _show
 
@@ -39,9 +40,8 @@ __all__ = [
     "empirical_series",
 ]
 
-# Memory does not grow with the population, but run time does: an 18-group
-# cohort costs about 0.2 CPU-seconds per 10**6 bulbs, so the cap bounds a run
-# at some 20 CPU-seconds. A larger population is refused.
+# Memory does not grow with the population, but run time does: an 18-group cohort costs about
+# 0.15 CPU-seconds per 10**6 bulbs, so the cap bounds a run at some 15 CPU-seconds. More is refused.
 MAX_BULBS = 10**8
 
 # Bulbs per chunk. A multiple of 4, because Philox.advance(k) skips 4k draws.
@@ -79,23 +79,23 @@ EmpiricalStep = namedtuple("EmpiricalStep", "t p_red p_off")
 
 def _off_counts(seed: int, b: tuple[float, ...], start: int, stop: int) -> list[int]:
     """Per-step OFF counts of bulbs start..stop-1; start is a multiple of CHUNK."""
-    generators = []
-    for t in range(len(b)):
-        bit_generator = Philox(key=np.array([seed, t], dtype=np.uint64))
-        bit_generator.advance(start // 4)
-        generators.append(Generator(bit_generator))
+    # Generator.random() is (w >> 11) * 2**-53 for the raw word w, and b * 2**53 is exact
+    # for b in [0, 1], so random() >= b exactly when w >= ceil(b * 2**53) << 11. At b = 1
+    # that is 2**64: no bulb stays OFF, so that step and the later ones draw nothing.
+    live = b.index(1.0) if 1.0 in b else len(b)
+    streams = [(Philox(key=np.array([seed, t], dtype=np.uint64)).advance(start // 4),
+                np.uint64(math.ceil(b[t] * 2**53) << 11)) for t in range(live)]
     size = min(CHUNK, stop - start)
     off_buffer = np.empty(size, dtype=bool)
-    draw_buffer = np.empty(size)
     stays_buffer = np.empty(size, dtype=bool)
     counts = [0] * len(b)
     for low in range(start, stop, CHUNK):
         width = min(CHUNK, stop - low)
-        off, draws, stays = off_buffer[:width], draw_buffer[:width], stays_buffer[:width]
+        off, stays = off_buffer[:width], stays_buffer[:width]
         off.fill(True)
-        for t, (generator, step_b) in enumerate(zip(generators, b)):
-            generator.random(out=draws)
-            np.greater_equal(draws, step_b, out=stays)
+        for t, (bit_generator, threshold) in enumerate(streams):
+            # the draws stay unnamed, so a worker holds one draw array at a time
+            np.greater_equal(bit_generator.random_raw(width), threshold, out=stays)
             off &= stays
             counts[t] += int(np.count_nonzero(off))
     return counts

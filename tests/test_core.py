@@ -407,6 +407,16 @@ class TestTypeInvariants:
                 Cohort(records=records)
             assert err.value.index == position
 
+    def test_cohort_lets_an_error_inside_the_records_iterator_through(self):
+        # only a value that cannot be iterated is "not an iterable"
+        def records():
+            yield 1 + "a"
+
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Cohort(records())
+        with pytest.raises(InvalidCohort, match="records must be an iterable of AgeGroupRecord, got int"):
+            Cohort(5)
+
     def test_cohort_rejects_age_gap(self):
         second = AgeGroupRecord(index=2, age_low=15, age_high=20,
                                 population=1000.0, incidence=1.0,

@@ -6,7 +6,9 @@ import threading
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import cumrisk.simulate as simulator
 from cumrisk.core import CumriskError, red_probability
@@ -221,8 +223,9 @@ def test_failing_worker_raises_in_the_caller(monkeypatch):
 
 
 def test_memory_stays_flat_as_the_panel_grows(monkeypatch):
-    # buffers of 10 bytes per bulb of a chunk in each of four workers; the
-    # one-shot loop would need about 10 MB per 10**6 bulbs
+    # each of four workers holds two bool buffers and at most one uint64 draw
+    # array, 10 bytes per bulb of a chunk, 2.5 MiB together; the one-shot loop
+    # would need about 10 MB per 10**6 bulbs
     _use_cpus(monkeypatch, 4)
     cohort = ramp_cohort(groups=3)
     for n_bulbs in (10**6, 4 * 10**6):
@@ -260,3 +263,63 @@ def test_workers_follow_the_affinity_mask_not_the_cpu_count(monkeypatch):
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
     simulate(SimulationConfig(cohort=cohort, n_bulbs=32, seed=4))
     assert started == [(12, 24), (24, 32)]
+
+
+EDGE_PROBABILITIES = (0.0, 5e-324, 1e-9, 0.013, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+@pytest.mark.parametrize("b", EDGE_PROBABILITIES)
+def test_raw_threshold_keeps_the_bulbs_random_keeps(b):
+    # b goes to the kernel as it is, since a cohort cannot carry 5e-324 or
+    # 1 - 2**-53 exactly; steps with b = 0 before step t keep every bulb OFF.
+    # Both sides keep the draws at or above a threshold of the same words, so
+    # equal counts mean equal bits.
+    for seed, t in ((0, 0), (2**64 - 1, 3), (12345, 17)):
+        counts = simulator._off_counts(seed, (0.0,) * t + (b,), 0, CHUNK)
+        key = np.array([seed, t], dtype=np.uint64)
+        expected = Generator(Philox(key=key)).random(CHUNK) >= b
+        assert counts[t] == int(np.count_nonzero(expected)), (seed, t)
+
+
+@pytest.mark.parametrize("b", EDGE_PROBABILITIES)
+def test_raw_threshold_is_exact_at_the_boundary_words(monkeypatch, b):
+    # Random draws never land next to the threshold, so feed the kernel the
+    # words on both sides of each multiple of 2**11 near b * 2**64, plus the
+    # extremes, and keep those whose Generator.random() value is at least b.
+    def uniform(words):
+        return (words >> np.uint64(11)) * (1.0 / 2**53)
+
+    key = np.array([5, 2], dtype=np.uint64)
+    assert np.array_equal(uniform(Philox(key=key).random_raw(CHUNK)), Generator(Philox(key=key)).random(CHUNK))
+    near = math.floor(b * 2**53)
+    words = sorted({0, 2**64 - 1} | {w for k in (near, near + 1) for w in ((k << 11) - 1, k << 11)
+                                     if 0 <= w < 2**64})
+    words = np.array(words, dtype=np.uint64)
+
+    class Words:
+        def __init__(self, key):
+            pass
+
+        def advance(self, delta):
+            return self
+
+        def random_raw(self, size):
+            return words[:size]
+
+    monkeypatch.setattr(simulator, "Philox", Words)
+    expected = uniform(words) >= b
+    assert simulator._off_counts(0, (b,), 0, len(words)) == [int(np.count_nonzero(expected))]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_certain_and_impossible_steps_in_a_threaded_multichunk_run(monkeypatch, workers):
+    # b = 1 turns every bulb RED; its threshold, 2**64, fits no raw word
+    _use_cpus(monkeypatch, workers)
+    certain = make_cohort([(1000.0, 20.0), (1000.0, 5.0), (5.0, 1.0), (1000.0, 20.0)])
+    impossible = make_cohort([(1000.0, 20.0), (1000.0, 0.0), (1000.0, 40.0)])
+    assert certain.b[2] == 1.0 and impossible.b[1] == 0.0
+    n_bulbs = 3 * CHUNK + 5
+    for cohort in (certain, impossible):
+        for seed in (8, 2**64 - 1):
+            result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=seed))
+            assert _off_counts(result) == reference_off_counts(cohort, n_bulbs, seed)
