@@ -18,12 +18,11 @@ from .core import (
     Cohort,
     CumriskError,
     OutOfRange,
-    RiskSeries,
     compare,
     conditional_risk,
     risk_series,
 )
-from .io import ParseError, _emit_rows, emit_comparison, emit_series, float_repr, parse_cohort
+from .io import ParseError, _emit_rows, emit_comparison, emit_series, parse_cohort
 
 __all__ = ["main"]
 
@@ -55,7 +54,7 @@ def _cmd_compute(args) -> str:
         steps = steps[:max(0, args.upto // 5 + 1)]
         if not steps:
             raise OutOfRange(f"--upto {args.upto} keeps no age groups (the first group starts at age 0)")
-    return emit_series(RiskSeries(steps), args.format)
+    return emit_series(steps, args.format)
 
 
 def _cmd_conditional(args) -> str:
@@ -63,7 +62,7 @@ def _cmd_conditional(args) -> str:
     if args.age % 5 != 0 or args.horizon % 5 != 0:
         raise OutOfRange(f"--age and --horizon must be multiples of 5 years "
                          f"(got --age {args.age} --horizon {args.horizon})")
-    return float_repr(conditional_risk(cohort, args.age // 5, args.horizon // 5)) + "\n"
+    return repr(conditional_risk(cohort, args.age // 5, args.horizon // 5)) + "\n"
 
 
 def _cmd_compare(args) -> str:

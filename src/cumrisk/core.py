@@ -42,7 +42,6 @@ __all__ = [
     "RiskSeries",
     "ComparisonRow",
     "ComparisonReport",
-    "estimate_transition",
     "transition_matrices",
     "cumulative_rate",
     "cumulative_risk_from_rate",
@@ -204,11 +203,14 @@ class Cohort:
     operations can report it in their own terms.
 
     Construction is the one place records are validated, and the same pass
-    builds the prefixes every query reads: ``b[i]`` is the transition
-    probability of group i + 1 and ``p00[i] = 1.0 - b[i]`` its chance of
-    staying OFF, while ``p_off[t]`` (the probability of no diagnosis by age
-    5t) and ``cum_rate[t]`` have index 0 at birth. A Cohort is immutable:
-    assigning to or deleting an attribute raises AttributeError.
+    builds the prefixes every query reads: ``b[i] = 5x / (n + 5dc)`` is the
+    transition probability of group i + 1 and ``p00[i] = 1.0 - b[i]`` its
+    chance of staying OFF, while ``p_off[t]`` (the probability of no diagnosis
+    by age 5t) and ``cum_rate[t]`` have index 0 at birth. The at-risk pool
+    n + 5dc counts the group's cancer deaths, who began the step undiagnosed;
+    deaths from other causes are left out by design. A record with 5x > n + 5dc
+    is refused, since b would exceed 1: the counts are inconsistent. A Cohort is
+    immutable: assigning to or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate")
@@ -239,7 +241,7 @@ class Cohort:
             if age_low != expected_low:
                 raise NonContiguousAges(f"age_low {_show(age_low, str)} breaks contiguity (expected "
                                         f"{expected_low})", index=position, column="age_low")
-            step_b = _transition_probability(population, incidence, cancer_deaths)
+            step_b = 5.0 * incidence / (population + 5.0 * cancer_deaths)
             stay = 1.0 - step_b
             off *= stay
             annual_sum += incidence / population
@@ -375,28 +377,6 @@ class ComparisonReport:
 
     def __iter__(self):
         return iter(self.rows)
-
-
-def _transition_probability(population: float, incidence: float, cancer_deaths: float) -> float:
-    # 5x / (n + 5dc); callers validate the record first
-    return 5.0 * incidence / (population + 5.0 * cancer_deaths)
-
-
-def estimate_transition(record: AgeGroupRecord) -> TransitionMatrix:
-    """Estimate the one-step transition matrix for an age group.
-
-    The probability that an OFF individual turns RED during the group's five
-    years is 5*incidence / (population + 5*cancer_deaths). Deaths from other
-    causes are ignored by design.
-
-    Raises:
-        InvalidRecord: if the record violates its invariants, in particular
-            when 5*incidence exceeds the at-risk pool (that would imply a
-            transition probability above 1, i.e. inconsistent data).
-    """
-    record.validate()
-    p01 = _transition_probability(record.population, record.incidence, record.cancer_deaths)
-    return TransitionMatrix(p00=1.0 - p01, p01=p01)
 
 
 def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:

@@ -20,7 +20,6 @@ from .core import (
     CumriskError,
     InvalidCohort,
     InvalidRecord,
-    RiskSeries,
     RiskStep,
 )
 # The parser raises these core classes too, so callers may import them from here.
@@ -39,7 +38,6 @@ __all__ = [
     "emit_cohort",
     "emit_series",
     "emit_comparison",
-    "float_repr",
 ]
 
 REQUIRED_COLUMNS = ("age_low", "age_high", "population", "incidence", "cancer_deaths")
@@ -62,11 +60,6 @@ class MalformedNumber(ParseError):
 
 class EmptyCohort(ParseError):
     pass
-
-
-def float_repr(value: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
 
 
 def _count_repr(value: float) -> str:
@@ -204,13 +197,14 @@ def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> s
     return "\n".join(lines) + "\n"
 
 
-def emit_series(series: RiskSeries, format: str = "csv") -> str:
-    """Render a risk series as CSV (fixed column order) or JSON.
+def emit_series(series, format: str = "csv") -> str:
+    """Render a risk series, or a list of its RiskStep rows, as CSV or JSON.
 
-    Floats are written at full precision: parsing them back recovers the
-    exact doubles. Identical series produce byte-identical documents.
+    Columns come in the fixed ``SERIES_COLUMNS`` order, and floats at full
+    precision: parsing them back recovers the exact doubles. Identical rows
+    produce byte-identical documents.
     """
-    return _emit_rows(SERIES_COLUMNS, series.steps, format, {}, None)
+    return _emit_rows(SERIES_COLUMNS, series, format, {}, None)
 
 
 def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:

@@ -13,7 +13,7 @@ import cumrisk
 from cumrisk import cli
 from cumrisk.cli import main
 from cumrisk.core import red_probability
-from cumrisk.io import emit_cohort, float_repr, parse_cohort
+from cumrisk.io import emit_cohort, parse_cohort
 from helpers import make_cohort, ramp_cohort
 
 DEMO = ("age_low,age_high,population,incidence,cancer_deaths\n"
@@ -153,7 +153,7 @@ class TestConditional:
         assert main(["conditional", ramp_file, "--age", "0", "--horizon", "90"]) == 0
         printed = capsys.readouterr().out.strip()
         cohort = parse_cohort(emit_cohort(ramp_cohort()))
-        assert printed == float_repr(red_probability(cohort, 18))
+        assert printed == repr(red_probability(cohort, 18))
 
     def test_rejects_off_grid_age(self, demo_file, capsys):
         assert main(["conditional", demo_file, "--age", "3", "--horizon", "5"]) == 1

@@ -26,7 +26,6 @@ from cumrisk.core import (
     conditional_risk,
     cumulative_rate,
     cumulative_risk_from_rate,
-    estimate_transition,
     propagate,
     red_probability,
     risk_series,
@@ -36,41 +35,47 @@ from helpers import make_cohort, make_record, ramp_cohort
 
 
 class TestEstimateTransition:
+    """b = 5x / (n + 5dc), read as Cohort().b and transition_matrices()."""
+
     def test_zero_incidence_gives_identity_row(self):
-        m = estimate_transition(make_record(1, 1000.0, 0.0))
+        (m,) = transition_matrices(make_cohort([(1000.0, 0.0)]))
         assert m.p01 == 0.0
         assert m.p00 == 1.0
 
     def test_hand_worked_value(self):
         # 5 * 1 / (95 + 5 * 1) = 5 / 100
-        m = estimate_transition(make_record(1, 95.0, 1.0, cancer_deaths=1.0))
+        cohort = make_cohort([(95.0, 1.0, 1.0)])
+        (m,) = transition_matrices(cohort)
+        assert cohort.b == (0.05,)
         assert m.p01 == 0.05
         assert m.p00 == 0.95
 
     def test_diagnosed_row_is_absorbing(self):
-        m = estimate_transition(make_record(1, 1000.0, 3.0))
+        (m,) = transition_matrices(make_cohort([(1000.0, 3.0)]))
         assert m.p10 == 0.0
         assert m.p11 == 1.0
 
     def test_probability_one_boundary(self):
         # 5 * 20 == 100: every survivor is diagnosed within the group
-        m = estimate_transition(make_record(1, 100.0, 20.0))
+        (m,) = transition_matrices(make_cohort([(100.0, 20.0)]))
         assert m.p01 == 1.0
         assert m.p00 == 0.0
 
     def test_rejects_incidence_exceeding_pool(self):
-        with pytest.raises(InvalidRecord, match="5x > n \\+ 5dc"):
-            estimate_transition(make_record(1, 100.0, 30.0))
+        with pytest.raises(InconsistentRecord, match="5x > n \\+ 5dc") as info:
+            make_cohort([(100.0, 30.0)])
+        assert info.value.index == 1
+        assert info.value.column == "incidence"
 
     def test_rejects_nonpositive_population(self):
-        with pytest.raises(InvalidRecord):
-            estimate_transition(make_record(1, 0.0, 0.0))
+        with pytest.raises(InconsistentRecord, match="population must be positive"):
+            make_cohort([(0.0, 0.0)])
 
     def test_other_deaths_never_enter_the_estimate(self):
-        bare = make_record(1, 5000.0, 12.0, cancer_deaths=4.0)
-        with_other = make_record(1, 5000.0, 12.0, cancer_deaths=4.0,
-                                 other_deaths=900.0)
-        assert estimate_transition(bare) == estimate_transition(with_other)
+        bare = Cohort([make_record(1, 5000.0, 12.0, cancer_deaths=4.0)])
+        with_other = Cohort([make_record(1, 5000.0, 12.0, cancer_deaths=4.0, other_deaths=900.0)])
+        assert bare.b == with_other.b
+        assert transition_matrices(bare) == transition_matrices(with_other)
 
     def test_cohort_wide_matrices(self):
         cohort = make_cohort([(1000.0, 20.0), (1000.0, 40.0)])

@@ -23,7 +23,6 @@ from cumrisk.io import (
     emit_cohort,
     emit_comparison,
     emit_series,
-    float_repr,
     parse_cohort,
 )
 from helpers import make_cohort, ramp_cohort
@@ -289,6 +288,15 @@ class TestEmitSeries:
         series = risk_series(ramp_cohort())
         assert emit_series(series) == emit_series(series)
         assert emit_series(series, "json") == emit_series(series, "json")
+        # a list of the rows writes what the series writes
+        for format in ("csv", "json"):
+            assert emit_series(series.steps, format) == emit_series(series, format)
+
+    def test_a_slice_of_rows_writes_the_first_lines(self):
+        series = risk_series(ramp_cohort())
+        lines = emit_series(series).splitlines(keepends=True)
+        for k in (1, 7, len(series)):
+            assert emit_series(series.steps[:k]) == "".join(lines[:k + 1])
 
     def test_unknown_format_is_rejected(self):
         with pytest.raises(CumriskError, match="format"):
@@ -327,11 +335,6 @@ class TestEmitComparison:
         assert payload["steps_b"] == 4
         assert payload["truncated"] is True
         assert len(payload["steps"]) == 4
-
-
-def test_float_repr_round_trips():
-    for value in (0.1, 0.1 + 0.2, 1.0 / 3.0, 1e-300, 123456789.123456789):
-        assert float(float_repr(value)) == value
 
 
 class ReprFloat(float):
