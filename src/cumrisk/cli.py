@@ -166,9 +166,15 @@ def main(argv=None) -> int:
         document = args.func(args)
         if to_stdout:
             sys.stdout.write(document)
+            sys.stdout.flush()  # here, a reader that has gone is one error line, not a failure at exit
         else:
             Path(args.out).write_text(document, encoding="utf-8")
     except (CumriskError, OSError) as exc:
+        if to_stdout and isinstance(exc, BrokenPipeError):
+            # what stays buffered goes to /dev/null, so the interpreter's flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -157,18 +157,24 @@ class AgeGroupRecord(namedtuple("AgeGroupRecord", "index age_low age_high popula
     def validate(self) -> None:
         """Raise InvalidRecord describing the first violated invariant."""
         # unpacked once: a field read by name is a slower path than a tuple unpacking
-        index, low, high, population, incidence, cancer_deaths, _ = self
-        for name in ("population", "incidence", "cancer_deaths", "other_deaths"):
-            value = getattr(self, name)
-            if value is None and name == "other_deaths":
-                continue
-            # Compared exactly, an int too large for a double fails here; math.isfinite would overflow.
-            if (type(value) is not float and not (_is_number(value, numbers.Real) and abs(value) <= _DOUBLE_MAX)
-                    or not math.isfinite(value)):
-                raise InvalidRecord(f"{name} must be a finite real number, got {_show(value)}",
-                                    index=index, column=name)
-            if value < 0:
-                raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=index, column=name)
+        index, low, high, population, incidence, cancer_deaths, other_deaths = self
+        # one test for the common case, floats in [0, max]; the loop names the fault, or accepts another real
+        if not (type(population) is float and type(incidence) is float and type(cancer_deaths) is float
+                and 0.0 <= population <= _DOUBLE_MAX and 0.0 <= incidence <= _DOUBLE_MAX
+                and 0.0 <= cancer_deaths <= _DOUBLE_MAX
+                and (other_deaths is None
+                     or type(other_deaths) is float and 0.0 <= other_deaths <= _DOUBLE_MAX)):
+            for name in ("population", "incidence", "cancer_deaths", "other_deaths"):
+                value = getattr(self, name)
+                if value is None and name == "other_deaths":
+                    continue
+                # NaN and the infinities fail the comparison, and so, compared exactly, does an int too
+                # large for a double, on which math.isfinite would overflow
+                if not (_is_number(value, numbers.Real) and abs(value) <= _DOUBLE_MAX):
+                    raise InvalidRecord(f"{name} must be a finite real number, got {_show(value)}",
+                                        index=index, column=name)
+                if value < 0:
+                    raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=index, column=name)
         if population <= 0:
             raise InconsistentRecord("population must be positive", index=index, column="population")
         if 5.0 * incidence > population + 5.0 * cancer_deaths:

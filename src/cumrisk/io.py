@@ -70,12 +70,17 @@ def _count_repr(value: float) -> str:
     return repr(f)
 
 
-def _number(kind, raw: str, line: int, column: str):
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise MalformedNumber(f"expected {expected}, got {raw!r}", line=line, column=column) from None
+def _malformed(cells: list[str], positions: list[int], line: int) -> MalformedNumber:
+    """The error for the first cell of a data row, in column order, that does not convert."""
+    for column, at in zip(REQUIRED_COLUMNS + OPTIONAL_COLUMNS, positions):
+        raw = cells[at] if at < len(cells) else ""
+        kind, expected = (int, "an integer") if column.startswith("age_") else (float, "a number")
+        try:
+            kind(raw)
+        except ValueError:
+            # "open" ends the last group, and a blank other_deaths is not given: neither is malformed
+            if not (column == "age_high" and raw.lower() == "open" or column == "other_deaths" and raw == ""):
+                return MalformedNumber(f"expected {expected}, got {raw!r}", line=line, column=column)
 
 
 def parse_cohort(text: str) -> Cohort:
@@ -116,13 +121,15 @@ def parse_cohort(text: str) -> Cohort:
                 column = next(name for name, at in zip(REQUIRED_COLUMNS, positions) if at >= len(cells))
                 raise MalformedNumber("missing value", line=line, column=column)
             other = cells[other_at] if 0 <= other_at < len(cells) else ""  # absent or empty: not given
-            records.append(AgeGroupRecord(
-                len(records) + 1, _number(int, cells[low_at], line, "age_low"),
-                None if cells[high_at].lower() == "open" else _number(int, cells[high_at], line, "age_high"),
-                _number(float, cells[population_at], line, "population"),
-                _number(float, cells[incidence_at], line, "incidence"),
-                _number(float, cells[deaths_at], line, "cancer_deaths"),
-                None if other == "" else _number(float, other, line, "other_deaths")))
+            high = cells[high_at]
+            try:
+                fields = (len(records) + 1, int(cells[low_at]), None if high.lower() == "open" else int(high),
+                          float(cells[population_at]), float(cells[incidence_at]), float(cells[deaths_at]),
+                          None if other == "" else float(other))
+            except ValueError:
+                raise _malformed(cells, positions, line) from None
+            # all seven fields are given, so namedtuple's generated __new__ has nothing to add
+            records.append(tuple.__new__(AgeGroupRecord, fields))
             lines.append(line)
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None

@@ -1,6 +1,8 @@
 """Builders for synthetic cohorts shared across the test modules."""
 
+import math
 import numbers
+import sys
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -12,6 +14,10 @@ from cumrisk.core import (
     CohortMeta,
     ComparisonRow,
     CumriskError,
+    InconsistentRecord,
+    InvalidRecord,
+    NegativeCount,
+    NonContiguousAges,
     StateVector,
     TransitionMatrix,
     risk_series,
@@ -139,4 +145,44 @@ def reference_value_check(cls, first, second):
             raise CumriskError(f"{what} must sum to 1, got {first!r} + {second!r}")
     except CumriskError as exc:
         return type(exc), str(exc)
+    return None
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def reference_record_check(record):
+    """What ``record.validate()`` raises, as ``(type, index, column, message)``, or None.
+
+    The record's checks written out one field at a time, with no test for
+    the common case; ``validate`` must accept and reject exactly as this
+    does, with the same error.
+    """
+    index, low, high = record.index, record.age_low, record.age_high
+    try:
+        for name in ("population", "incidence", "cancer_deaths", "other_deaths"):
+            value = getattr(record, name)
+            if name == "other_deaths" and value is None:
+                continue
+            # an int beyond the doubles is refused before math.isfinite could overflow on it
+            if not _is_number(value, numbers.Real) or abs(value) > sys.float_info.max or not math.isfinite(value):
+                raise InvalidRecord(f"{name} must be a finite real number, got {value!r}",
+                                    index=index, column=name)
+            if value < 0:
+                raise NegativeCount(f"{name} must be >= 0, got {value!r}", index=index, column=name)
+        if record.population <= 0:
+            raise InconsistentRecord("population must be positive", index=index, column="population")
+        if 5.0 * record.incidence > record.population + 5.0 * record.cancer_deaths:
+            raise InconsistentRecord(f"5x > n + 5dc (5*{record.incidence!r} exceeds the at-risk pool "
+                                     f"{record.population!r} + 5*{record.cancer_deaths!r})",
+                                     index=index, column="incidence")
+        if not _is_number(low, numbers.Integral) or low < 0 or low % 5:
+            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {low!r}",
+                                    index=index, column="age_low")
+        if high is not None and (not _is_number(high, numbers.Integral) or high - low != 5):
+            raise NonContiguousAges(f"closed groups must span exactly 5 years, got {low}..{high!r}",
+                                    index=index, column="age_high")
+    except CumriskError as exc:
+        return type(exc), exc.index, exc.column, str(exc)
     return None

@@ -316,9 +316,15 @@ def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_fi
     assert probe["unresolved"] == []
 
 
+def _child_env():
+    """The environment of a ``python -m cumrisk.cli`` child, whose stdout is buffered as a user's is."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
+
+
 def _cli_child(args, limit_bytes):
     """Run ``python -m cumrisk.cli`` in a fresh interpreter with its address space capped."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
+    env = _child_env()
 
     def cap_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
@@ -337,6 +343,23 @@ def test_endless_or_oversized_input_is_one_error_line_in_bounded_memory(tmp_path
         proc = _cli_child(["compute", path], 400 * 2**20)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: {path!r} is larger than the input limit of {cli.MAX_INPUT_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"], ["compute", "--format", "json"], ["conditional", "--age", "40", "--horizon", "10"],
+    ["simulate", "--bulbs", "100"],
+], ids=["compute", "compute json", "conditional", "simulate"])
+def test_a_stdout_whose_reader_has_gone_is_one_error_line(argv, ramp_file):
+    # buffered, the document reaches the pipe only when flushed: at exit, unless main flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cumrisk.cli", argv[0], ramp_file, *argv[1:]],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 BLAS_PROBE = """

@@ -1,5 +1,6 @@
 """Tests for cohort parsing and CSV/JSON emission."""
 
+import itertools
 import json
 import math
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cumrisk.core import CumriskError, InvalidRecord, compare, risk_series
+from cumrisk.core import AgeGroupRecord, CumriskError, InvalidRecord, compare, risk_series
 from cumrisk.io import (
     COMPARISON_COLUMNS,
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
     SERIES_COLUMNS,
     EmptyCohort,
     InconsistentRecord,
@@ -28,6 +31,7 @@ from cumrisk.io import (
 from helpers import make_cohort, ramp_cohort
 
 HEADER = "age_low,age_high,population,incidence,cancer_deaths"
+READ_COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS  # the order in which a data row's cells are converted
 
 
 def doc(*rows, header=HEADER):
@@ -141,6 +145,45 @@ class TestParseCohort:
         with pytest.raises(MalformedNumber) as err:
             parse_cohort(doc("0,5,1000"))
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(READ_COLUMNS, 2))
+    @pytest.mark.parametrize("header", [READ_COLUMNS, READ_COLUMNS[::-1]], ids=["read order", "reversed"])
+    def test_of_two_malformed_cells_the_first_in_read_order_is_named(self, header, first, second):
+        row = dict(zip(READ_COLUMNS, ["5", "10", "1000", "2", "1", "3"]))
+        row[first], row[second] = "bad1", "bad2"
+        text = doc("0,5,1000,2,1,3", ",".join(row[column] for column in header), header=",".join(header))
+        with pytest.raises(MalformedNumber) as err:
+            parse_cohort(text)
+        named, cell = min((first, "bad1"), (second, "bad2"), key=lambda pair: READ_COLUMNS.index(pair[0]))
+        expected = "an integer" if named.startswith("age_") else "a number"
+        assert (err.value.line, err.value.column) == (3, named)
+        assert str(err.value) == f"line 3, column {named!r}: expected {expected}, got {cell!r}"
+
+    def test_open_does_not_hide_a_malformed_population(self):
+        with pytest.raises(MalformedNumber) as err:
+            parse_cohort(doc("0,open,12x34,2,1"))
+        assert (err.value.line, err.value.column) == (2, "population")
+        assert str(err.value) == "line 2, column 'population': expected a number, got '12x34'"
+
+    @pytest.mark.parametrize("later", [
+        ("5,10",),
+        ("5,10,inf,2,1",),
+        ('5,10,1000,2,"' + "9" * 200_000 + '"',),
+        ("5,10", "10,15,inf,2,1", '15,20,1000,2,"' + "9" * 200_000 + '"'),
+    ], ids=["short row", "non-finite count", "unreadable field", "all three"])
+    def test_a_malformed_cell_is_reported_ahead_of_faults_on_later_lines(self, later):
+        with pytest.raises(MalformedNumber) as err:
+            parse_cohort(doc("0,5,1000,2,1", "5,10,1000,x,1", *later))
+        assert (err.value.line, err.value.column) == (3, "incidence")
+
+    @pytest.mark.parametrize("header, rows", [
+        (HEADER, ("0,5,1000,2,1", "5,open,1100,3,0")),
+        (HEADER + ",other_deaths", ("0,5,1000,2,1,4", "5,10,1100,3,0,", "10,OPEN,900,4,2,0.5")),
+    ], ids=["without other_deaths", "with other_deaths"])
+    def test_parsed_records_are_plain_age_group_records(self, header, rows):
+        for record in parse_cohort(doc(*rows, header=header)).records:
+            assert type(record) is AgeGroupRecord
+            assert record == AgeGroupRecord(*record)
 
     def test_negative_count(self):
         with pytest.raises(NegativeCount) as err:

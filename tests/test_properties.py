@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,11 @@ from cumrisk.core import (
 from cumrisk.io import emit_cohort, emit_series, parse_cohort
 from helpers import (
     make_cohort,
+    make_record,
     reference_comparison,
     reference_conditional_risk,
     reference_propagate,
+    reference_record_check,
     reference_value_check,
 )
 
@@ -215,6 +218,38 @@ def test_value_constructors_accept_and_reject_as_the_plain_checks(cls, pair):
     else:
         assert expected is None
         assert all(got is given for got, given in zip(value, pair))
+
+
+COUNT_FIELDS = ("population", "incidence", "cancer_deaths", "other_deaths")
+COUNT_VALUES = (
+    0.0, -0.0, 5e-324, 1.0, sys.float_info.max, -5e-324, -1.0, math.nan, math.inf, -math.inf,
+    _Real(1.0), np.float64(1.0), 3, 10**400, True, "1", None,
+)
+
+
+def _validate_outcome(record):
+    try:
+        record.validate()
+    except CumriskError as exc:
+        return type(exc), exc.index, exc.column, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", COUNT_VALUES, ids=repr)
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_record_validation_accepts_and_rejects_as_the_plain_checks(field, value):
+    record = make_record(2, 1000.0, 2.0, 1.0, other_deaths=4.0)._replace(**{field: value})
+    assert _validate_outcome(record) == reference_record_check(record)
+
+
+@given(st.one_of(cohorts(), edge_cohorts()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_cohort_record_with_one_count_replaced_validates_as_the_plain_checks(cohort, data):
+    record = data.draw(st.sampled_from(cohort.records))
+    assert _validate_outcome(record) is None is reference_record_check(record)
+    value = data.draw(st.one_of(st.sampled_from(COUNT_VALUES), st.floats()))
+    record = record._replace(**{data.draw(st.sampled_from(COUNT_FIELDS)): value})
+    assert _validate_outcome(record) == reference_record_check(record)
 
 
 @st.composite
