@@ -27,12 +27,7 @@ __all__ = [
     "CumriskError",
     "InvalidRecord",
     "InvalidCohort",
-    "NegativeCount",
-    "InconsistentRecord",
-    "NonContiguousAges",
     "OutOfRange",
-    "NegativeRate",
-    "EmptyOverlap",
     "AgeGroupRecord",
     "CohortMeta",
     "Cohort",
@@ -84,36 +79,18 @@ class CumriskError(ValueError):
 
 
 class InvalidRecord(CumriskError):
-    """An age-group record violates its invariants (counts or geometry)."""
+    """One group's counts or ages: a count not a finite real or below 0, population <= 0, 5x > n + 5dc,
+    an overflowing probability or rate, an age_low off the five-year grid, or a closed group not 5 wide."""
 
 
 class InvalidCohort(CumriskError):
-    """Records do not form a contiguous, correctly indexed cohort."""
-
-
-class NegativeCount(InvalidRecord):
-    """A count is below zero."""
-
-
-class InconsistentRecord(InvalidRecord):
-    """Counts that cannot describe a population: no one at risk, or 5x > n + 5dc."""
-
-
-class NonContiguousAges(InvalidRecord, InvalidCohort):
-    """Groups are not contiguous five-year spans from age 0: a record's own
-    width or alignment, or a gap or a group after the open-ended one."""
+    """What only the sequence of records shows: records not iterable, an entry not an AgeGroupRecord
+    or not indexed by its position, a gap in the ages from 0, or a group after the open-ended one."""
 
 
 class OutOfRange(CumriskError):
-    """A step index falls outside the cohort's data horizon."""
-
-
-class NegativeRate(CumriskError):
-    """Cumulative rates must be nonnegative."""
-
-
-class EmptyOverlap(CumriskError):
-    """Cohort comparison needs at least one step on both sides."""
+    """A query argument: a step, current step or horizon that is no integer or lies outside the cohort,
+    or the command line's --upto, --age or --horizon off the five-year age grid."""
 
 
 def _show(value, convert=repr) -> str:
@@ -174,22 +151,19 @@ class AgeGroupRecord(namedtuple("AgeGroupRecord", "index age_low age_high popula
                     raise InvalidRecord(f"{name} must be a finite real number, got {_show(value)}",
                                         index=index, column=name)
                 if value < 0:
-                    raise NegativeCount(f"{name} must be >= 0, got {_show(value)}", index=index, column=name)
+                    raise InvalidRecord(f"{name} must be >= 0, got {_show(value)}", index=index, column=name)
         if population <= 0:
-            raise InconsistentRecord("population must be positive", index=index, column="population")
+            raise InvalidRecord("population must be positive", index=index, column="population")
         if 5.0 * incidence > population + 5.0 * cancer_deaths:
-            raise InconsistentRecord(
-                f"5x > n + 5dc (5*{_show(incidence)} exceeds the at-risk pool "
-                f"{_show(population)} + 5*{_show(cancer_deaths)})",
-                index=index,
-                column="incidence",
-            )
+            raise InvalidRecord(f"5x > n + 5dc (5*{_show(incidence)} exceeds the at-risk pool "
+                                f"{_show(population)} + 5*{_show(cancer_deaths)})",
+                                index=index, column="incidence")
         if type(low) is not int and not _is_number(low, numbers.Integral) or low < 0 or low % 5:
-            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {_show(low)}",
-                                    index=index, column="age_low")
+            raise InvalidRecord(f"age_low must be a nonnegative multiple of 5, got {_show(low)}",
+                                index=index, column="age_low")
         if high is not None and (type(high) is not int and not _is_number(high, numbers.Integral)
                                  or high - low != 5):
-            raise NonContiguousAges(
+            raise InvalidRecord(
                 f"closed groups must span exactly 5 years, got {_show(low, str)}..{_show(high)}",
                 index=index,
                 column="age_high",
@@ -243,21 +217,21 @@ class Cohort:
                                     "indices must run 1..G", index=position)
             record.validate()
             if expected_low is None:
-                raise NonContiguousAges("no group may follow an open-ended group", index=position)
+                raise InvalidCohort("no group may follow an open-ended group", index=position)
             if age_low != expected_low:
-                raise NonContiguousAges(f"age_low {_show(age_low, str)} breaks contiguity (expected "
-                                        f"{expected_low})", index=position, column="age_low")
+                raise InvalidCohort(f"age_low {_show(age_low, str)} breaks contiguity (expected "
+                                    f"{expected_low})", index=position, column="age_low")
             step_b = 5.0 * incidence / (population + 5.0 * cancer_deaths)
             stay = 1.0 - step_b
             off *= stay
             annual_sum += incidence / population
             rate = 5.0 * annual_sum
             if not 0.0 <= step_b <= 1.0:
-                raise InconsistentRecord(f"5x / (n + 5dc) = {step_b!r} is not a probability",
-                                         index=position, column="incidence")
+                raise InvalidRecord(f"5x / (n + 5dc) = {step_b!r} is not a probability",
+                                    index=position, column="incidence")
             if not math.isfinite(rate):
-                raise InconsistentRecord(f"the cumulative rate overflows to {rate!r}",
-                                         index=position, column="incidence")
+                raise InvalidRecord(f"the cumulative rate overflows to {rate!r}",
+                                    index=position, column="incidence")
             b.append(step_b)
             p00.append(stay)
             p_off.append(off)
@@ -421,10 +395,15 @@ def cumulative_risk_from_rate(rate: float) -> float:
     """Convert a cumulative rate into the cumulative risk 1 - exp(-rate).
 
     Raises:
-        NegativeRate: for rate < 0 (or NaN).
+        CumriskError: unless rate is a real number other than bool, >= 0, that fits in a double or is inf.
     """
-    if not rate >= 0.0:
-        raise NegativeRate(f"cumulative rate must be >= 0, got {_show(rate)}")
+    if not (type(rate) is float and rate >= 0.0):
+        if not _is_number(rate, numbers.Real):
+            raise CumriskError(f"cumulative rate must be a real number, got {_show(rate)}")
+        if not rate >= 0.0:
+            raise CumriskError(f"cumulative rate must be >= 0, got {_show(rate)}")
+        if rate > _DOUBLE_MAX and rate != math.inf:  # an int or Fraction math.exp cannot convert
+            raise CumriskError(f"cumulative rate must fit in a double, got {_show(rate)}")
     return 1.0 - math.exp(-rate)
 
 
@@ -511,10 +490,10 @@ def compare(a: Cohort, b: Cohort) -> ComparisonReport:
     exactly compare(b, a).
 
     Raises:
-        EmptyOverlap: if either cohort has no groups.
+        CumriskError: if either cohort has no groups.
     """
     if len(a.records) == 0 or len(b.records) == 0:
-        raise EmptyOverlap("both cohorts need at least one age group to compare")
+        raise CumriskError("both cohorts need at least one age group to compare")
     # The deltas of the risk_series columns, read from the prefixes in the
     # same operation order, so every double is the one the tables would give.
     prefixes = zip(a.records, a.b, b.b, a.cum_rate[1:], b.cum_rate[1:], a.p_off[1:], b.p_off[1:])

@@ -3,8 +3,10 @@
 Cohort files are UTF-8 comma-separated text with a header line. Required
 columns (any order, case-insensitive): age_low, age_high, population,
 incidence, cancer_deaths. Optional: other_deaths. age_high is exclusive and
-may be the literal "open" on the final row for an open-ended group. Every
-parse error names the offending line and column.
+may be the literal "open" on the final row for an open-ended group, and one
+leading byte-order mark is allowed. A fault in the header, a cell or a group
+names its line and column (a group after the open-ended one has no column),
+unreadable CSV only its line, and a document without data rows neither.
 """
 
 import csv
@@ -22,8 +24,6 @@ from .core import (
     InvalidRecord,
     RiskStep,
 )
-# The parser raises these core classes too, so callers may import them from here.
-from .core import InconsistentRecord, NegativeCount, NonContiguousAges  # noqa: F401
 
 __all__ = [
     "REQUIRED_COLUMNS",
@@ -31,9 +31,6 @@ __all__ = [
     "SERIES_COLUMNS",
     "COMPARISON_COLUMNS",
     "ParseError",
-    "MissingColumn",
-    "MalformedNumber",
-    "EmptyCohort",
     "parse_cohort",
     "emit_cohort",
     "emit_series",
@@ -47,19 +44,7 @@ COMPARISON_COLUMNS = ComparisonRow._fields
 
 
 class ParseError(CumriskError):
-    """A cohort document is not a readable table; pinpoints line and column."""
-
-
-class MissingColumn(ParseError):
-    pass
-
-
-class MalformedNumber(ParseError):
-    pass
-
-
-class EmptyCohort(ParseError):
-    pass
+    """A cohort document is not a table of numbers: a bad header or cell, unreadable CSV, no data rows."""
 
 
 def _count_repr(value: float) -> str:
@@ -70,7 +55,7 @@ def _count_repr(value: float) -> str:
     return repr(f)
 
 
-def _malformed(cells: list[str], positions: list[int], line: int) -> MalformedNumber:
+def _malformed(cells: list[str], positions: list[int], line: int) -> ParseError:
     """The error for the first cell of a data row, in column order, that does not convert."""
     for column, at in zip(REQUIRED_COLUMNS + OPTIONAL_COLUMNS, positions):
         raw = cells[at] if at < len(cells) else ""
@@ -80,7 +65,7 @@ def _malformed(cells: list[str], positions: list[int], line: int) -> MalformedNu
         except ValueError:
             # "open" ends the last group, and a blank other_deaths is not given: neither is malformed
             if not (column == "age_high" and raw.lower() == "open" or column == "other_deaths" and raw == ""):
-                return MalformedNumber(f"expected {expected}, got {raw!r}", line=line, column=column)
+                return ParseError(f"expected {expected}, got {raw!r}", line=line, column=column)
 
 
 def parse_cohort(text: str) -> Cohort:
@@ -92,7 +77,7 @@ def parse_cohort(text: str) -> Cohort:
     there is given the line of the group it names.
     """
     # csv finds the line ends itself; str.splitlines would also break at form feeds
-    reader = csv.reader(StringIO(text.lstrip("\ufeff"), newline=""))
+    reader = csv.reader(StringIO(text.removeprefix("\ufeff"), newline=""))
     positions = None
     records: list[AgeGroupRecord] = []
     lines: list[int] = []  # the line of each group, in index order
@@ -111,7 +96,7 @@ def parse_cohort(text: str) -> Cohort:
                         raise ParseError("duplicate column", line=line, column=name)
                 for name in REQUIRED_COLUMNS:
                     if name not in read:
-                        raise MissingColumn("required column missing from header", line=line, column=name)
+                        raise ParseError("required column missing from header", line=line, column=name)
                 positions = [names.index(name) for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if name in read]
                 low_at, high_at, population_at, incidence_at, deaths_at = positions[:5]
                 width = max(positions[:5]) + 1
@@ -119,7 +104,7 @@ def parse_cohort(text: str) -> Cohort:
                 continue
             if len(cells) < width:
                 column = next(name for name, at in zip(REQUIRED_COLUMNS, positions) if at >= len(cells))
-                raise MalformedNumber("missing value", line=line, column=column)
+                raise ParseError("missing value", line=line, column=column)
             other = cells[other_at] if 0 <= other_at < len(cells) else ""  # absent or empty: not given
             high = cells[high_at]
             try:
@@ -134,7 +119,7 @@ def parse_cohort(text: str) -> Cohort:
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
     if not records:
-        raise EmptyCohort("no data rows found")
+        raise ParseError("no data rows found")
     try:
         return Cohort(records=records)
     except (InvalidRecord, InvalidCohort) as exc:

@@ -14,10 +14,7 @@ from cumrisk.core import (
     CohortMeta,
     ComparisonRow,
     CumriskError,
-    InconsistentRecord,
     InvalidRecord,
-    NegativeCount,
-    NonContiguousAges,
     StateVector,
     TransitionMatrix,
     risk_series,
@@ -170,19 +167,19 @@ def reference_record_check(record):
                 raise InvalidRecord(f"{name} must be a finite real number, got {value!r}",
                                     index=index, column=name)
             if value < 0:
-                raise NegativeCount(f"{name} must be >= 0, got {value!r}", index=index, column=name)
+                raise InvalidRecord(f"{name} must be >= 0, got {value!r}", index=index, column=name)
         if record.population <= 0:
-            raise InconsistentRecord("population must be positive", index=index, column="population")
+            raise InvalidRecord("population must be positive", index=index, column="population")
         if 5.0 * record.incidence > record.population + 5.0 * record.cancer_deaths:
-            raise InconsistentRecord(f"5x > n + 5dc (5*{record.incidence!r} exceeds the at-risk pool "
-                                     f"{record.population!r} + 5*{record.cancer_deaths!r})",
-                                     index=index, column="incidence")
+            raise InvalidRecord(f"5x > n + 5dc (5*{record.incidence!r} exceeds the at-risk pool "
+                                f"{record.population!r} + 5*{record.cancer_deaths!r})",
+                                index=index, column="incidence")
         if not _is_number(low, numbers.Integral) or low < 0 or low % 5:
-            raise NonContiguousAges(f"age_low must be a nonnegative multiple of 5, got {low!r}",
-                                    index=index, column="age_low")
+            raise InvalidRecord(f"age_low must be a nonnegative multiple of 5, got {low!r}",
+                                index=index, column="age_low")
         if high is not None and (not _is_number(high, numbers.Integral) or high - low != 5):
-            raise NonContiguousAges(f"closed groups must span exactly 5 years, got {low}..{high!r}",
-                                    index=index, column="age_high")
+            raise InvalidRecord(f"closed groups must span exactly 5 years, got {low}..{high!r}",
+                                index=index, column="age_high")
     except CumriskError as exc:
         return type(exc), exc.index, exc.column, str(exc)
     return None

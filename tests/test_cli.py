@@ -128,6 +128,14 @@ class TestCompute:
             assert main(["compute", str(path)]) == 0
             assert capsys.readouterr() == (expected, "")
 
+    def test_one_leading_byte_order_mark_is_read_past(self, ramp_file, tmp_path, capsys):
+        assert main(["compute", ramp_file]) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(ramp_file).read_bytes())
+        assert main(["compute", str(path)]) == 0
+        assert capsys.readouterr() == (expected, "")
+
     def test_input_at_the_cap_is_read_and_one_byte_more_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(DEMO))
         path = tmp_path / "demo.csv"

@@ -14,11 +14,8 @@ from cumrisk.core import (
     Cohort,
     CohortMeta,
     CumriskError,
-    EmptyOverlap,
-    InconsistentRecord,
     InvalidCohort,
     InvalidRecord,
-    NegativeRate,
     OutOfRange,
     StateVector,
     TransitionMatrix,
@@ -62,14 +59,15 @@ class TestEstimateTransition:
         assert m.p00 == 0.0
 
     def test_rejects_incidence_exceeding_pool(self):
-        with pytest.raises(InconsistentRecord, match="5x > n \\+ 5dc") as info:
+        with pytest.raises(InvalidRecord, match="5x > n \\+ 5dc") as info:
             make_cohort([(100.0, 30.0)])
         assert info.value.index == 1
         assert info.value.column == "incidence"
 
     def test_rejects_nonpositive_population(self):
-        with pytest.raises(InconsistentRecord, match="population must be positive"):
+        with pytest.raises(InvalidRecord, match="population must be positive") as info:
             make_cohort([(0.0, 0.0)])
+        assert info.value.column == "population"
 
     def test_other_deaths_never_enter_the_estimate(self):
         bare = Cohort([make_record(1, 5000.0, 12.0, cancer_deaths=4.0)])
@@ -114,6 +112,7 @@ class TestCumulativeRate:
 class TestCumulativeRiskFromRate:
     def test_zero_rate_is_zero_risk(self):
         assert cumulative_risk_from_rate(0.0) == 0.0
+        assert cumulative_risk_from_rate(0) == 0.0
 
     def test_log_two_rate_is_exactly_half(self):
         assert cumulative_risk_from_rate(math.log(2.0)) == 0.5
@@ -125,13 +124,23 @@ class TestCumulativeRiskFromRate:
         assert cumulative_risk_from_rate(20.0) < 1.0
         # at huge rates the subtraction rounds to exactly 1.0, never above
         assert cumulative_risk_from_rate(50.0) == 1.0
+        assert cumulative_risk_from_rate(math.inf) == cumulative_risk_from_rate(np.float64(math.inf)) == 1.0
 
-    def test_rejects_negative_rate(self):
-        with pytest.raises(NegativeRate):
-            cumulative_risk_from_rate(-0.1)
+    @pytest.mark.parametrize("rate, message", [
+        (-0.1, "cumulative rate must be >= 0, got -0.1"),
+        ("a", "cumulative rate must be a real number, got 'a'"),
+        (None, "cumulative rate must be a real number, got None"),
+        (True, "cumulative rate must be a real number, got True"),
+        (10**400, f"cumulative rate must fit in a double, got {10**400!r}"),
+        (10**5000, "cumulative rate must fit in a double, got an integer of 16610 bits"),
+    ], ids=["negative", "str", "None", "bool", "int beyond the doubles", "int beyond repr"])
+    def test_rejects_negative_rate(self, rate, message):
+        with pytest.raises(CumriskError) as err:
+            cumulative_risk_from_rate(rate)
+        assert (type(err.value), str(err.value)) == (CumriskError, message)
 
     def test_rejects_nan_rate(self):
-        with pytest.raises(NegativeRate):
+        with pytest.raises(CumriskError, match="^cumulative rate must be >= 0, got nan$"):
             cumulative_risk_from_rate(float("nan"))
 
 
@@ -319,10 +328,11 @@ class TestCompare:
 
     def test_empty_cohort_has_no_overlap(self):
         empty = Cohort(records=[], meta=CohortMeta())
-        with pytest.raises(EmptyOverlap):
-            compare(empty, ramp_cohort())
-        with pytest.raises(EmptyOverlap):
-            compare(ramp_cohort(), empty)
+        for a, b in ((empty, ramp_cohort()), (ramp_cohort(), empty)):
+            with pytest.raises(CumriskError) as err:
+                compare(a, b)
+            assert (type(err.value), str(err.value)) == \
+                (CumriskError, "both cohorts need at least one age group to compare")
 
 
 class TestCohortPrefixes:
@@ -348,7 +358,7 @@ class TestCohortPrefixes:
                 (cohort.records, cohort.meta, cohort.b, cohort.p00, cohort.p_off, cohort.cum_rate)
 
     def test_errors_name_the_group_and_column(self):
-        with pytest.raises(InconsistentRecord) as err:
+        with pytest.raises(InvalidRecord) as err:
             make_cohort([(1000.0, 20.0), (100.0, 30.0)])
         assert (err.value.index, err.value.column, err.value.line) == (2, "incidence", None)
         assert str(err.value).startswith("group 2, column 'incidence': 5x > n + 5dc")
@@ -356,9 +366,9 @@ class TestCohortPrefixes:
     def test_overflowing_counts_are_rejected(self):
         # the pool overflows (5x / (n + 5dc) is inf / inf), or the rate does
         for row in ((1e308, 1e308, 1e308), (1e-300, 1e300, 1e300)):
-            with pytest.raises(InconsistentRecord) as err:
+            with pytest.raises(InvalidRecord) as err:
                 make_cohort([(1000.0, 20.0), row])
-            assert err.value.index == 2
+            assert (err.value.index, err.value.column) == (2, "incidence")
 
 
 class TestTypeInvariants:
