@@ -34,17 +34,23 @@ MAX_INPUT_BYTES = 16 * 2**20
 
 
 def _load_cohort(path: str) -> Cohort:
-    with open(path, "rb") as file:
-        data = file.read(MAX_INPUT_BYTES + 1)
+    """The cohort in the file at ``path``; an error in reading or parsing it names the file."""
+    try:
+        with open(path, "rb") as file:
+            data = file.read(MAX_INPUT_BYTES + 1)
+    except OSError as exc:
+        exc.filename = path  # open names the file itself, a failed read does not
+        raise
     if len(data) > MAX_INPUT_BYTES:
         raise ParseError(f"{path!r} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
     try:
-        text = data.decode("utf-8")
+        return parse_cohort(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # "\n", "\r" and "\r\n" end a line, for bytes.splitlines as for csv
-        raise ParseError(f"{path!r} is not UTF-8 text ({exc.reason})",
-                         line=len((data[:exc.start] + b".").splitlines())) from None
-    return parse_cohort(text)
+        error = ParseError(f"not UTF-8 text ({exc.reason})", line=len((data[:exc.start] + b".").splitlines()))
+    except CumriskError as exc:
+        error = exc
+    raise type(error)(f"{path!r}: {error}") from None
 
 
 def _cmd_compute(args) -> str:
@@ -72,12 +78,13 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    # Imported here so that only this subcommand loads numpy. cumrisk uses no
-    # BLAS, whose idle threads would only take CPU from the simulator's.
+    cohort = _load_cohort(args.dataset)
+    # Imported here, after the input is read, so that only this subcommand loads numpy, and not
+    # for a file it refuses. cumrisk uses no BLAS, whose idle threads would only take CPU from
+    # the simulator's.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .simulate import SimulationConfig, empirical_series, simulate
 
-    cohort = _load_cohort(args.dataset)
     result = simulate(SimulationConfig(cohort=cohort, n_bulbs=args.bulbs, seed=args.seed))
     rows = [
         (step.t, step.age_label, emp.p_red, step.p_red, emp.p_red - step.p_red)

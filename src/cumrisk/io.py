@@ -10,9 +10,8 @@ unreadable CSV only its line, and a document without data rows neither.
 """
 
 import csv
-import math
 from io import StringIO
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 
 from .core import (
     AgeGroupRecord,
@@ -146,38 +145,32 @@ def emit_cohort(cohort: Cohort) -> str:
     return _emit_rows(columns, rows, "csv", {}, None)
 
 
-def _json_value(value) -> str:
-    # json.dumps's own type tests, in its order, and its spellings
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):  # also a float subclass, such as numpy's float64
-        return ("NaN" if value != value else "Infinity" if value == math.inf
-                else "-Infinity" if value == -math.inf else float.__repr__(value))
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> str:
     """Render rows of values, one per column and in column order, as CSV or JSON.
 
     Floats are written at full precision (str of a float is its shortest
     round-trip repr), so parsing them back recovers the exact doubles. JSON is
-    written directly, as ``json.dumps({**head, "steps": [dict(zip(columns,
-    row)), ...]}, indent=2)`` would write it (``head`` has no key "steps");
-    CSV writes a ``comment`` as a leading "# " line.
+    what ``json.dumps({**head, "steps": [dict(zip(columns, row)), ...]},
+    indent=2)`` writes (``head`` has no key "steps"): exact finite floats, ints
+    and strs are written here and any other value by ``json.dumps``, with its
+    spellings and its TypeError, so a list or dict value takes one line. CSV
+    writes a ``comment`` as a leading "# " line.
     """
     if format == "json":
-        # one %s per value in a step; an exact finite float, the common case, skips the type tests
-        keys = [encode_basestring_ascii(column).replace("%", "%%") for column in columns]
+        import json  # here, once per document, so that only JSON output loads json
+
+        quote = json.encoder.encode_basestring_ascii
+        # one %s per value in a step
+        keys = [quote(column).replace("%", "%%") for column in columns]
         step = ",".join([f"\n      {key}: %s" for key in keys])
         step = f"    {{{step}\n    }}" if step else "    {}"
-        values = tuple([f"{value!r}" if type(value) is float and value - value == 0.0 else _json_value(value)
-                        for row in rows for value in row])
-        items = [f"  {encode_basestring_ascii(key)}: {_json_value(value)}" for key, value in head.items()]
-        steps = ",\n".join([step] * len(rows)) % values
+        # the head's values, then each row's; the values the program's tables hold skip json.dumps
+        texts = [f"{value!r}" if type(value) is float and value - value == 0.0
+                 else f"{value}" if type(value) is int
+                 else quote(value) if type(value) is str else json.dumps(value)
+                 for value in chain(head.values(), *rows)]
+        items = [f"  {quote(key)}: {text}" for key, text in zip(head, texts)]
+        steps = ",\n".join([step] * len(rows)) % tuple(texts[len(head):])
         items.append(f'  "steps": [\n{steps}\n  ]' if steps else '  "steps": []')
         return "{\n" + ",\n".join(items) + "\n}\n"
     if format != "csv":

@@ -12,11 +12,13 @@ A given configuration therefore produces bit-identical results no matter how
 the population is iterated or partitioned. Every bulb draws at every step up to
 one that turns every bulb RED; bulbs that are already RED ignore theirs.
 
-The bulbs are processed in chunks of CHUNK, so memory stays at a few
-buffers per worker whatever the population. Populations above one chunk are
-split into contiguous spans, one per CPU, that run on threads: numpy
-releases the GIL while it fills raw draws and compares them, and the per-step
-counts of the spans are integers whose sum is exact.
+The bulbs are processed in chunks of CHUNK, each with flag arrays of its own
+for OFF and for staying OFF, so a worker's memory does not grow with the
+population; it does grow with the cohort, as a worker keeps one Philox stream
+per age group. Populations above one chunk are split into contiguous spans,
+one per CPU, that run on threads: numpy releases the GIL while it fills raw
+draws and compares them, and the per-step counts of the spans are integers
+whose sum is exact.
 """
 
 import math
@@ -85,14 +87,10 @@ def _off_counts(seed: int, b: tuple[float, ...], start: int, stop: int) -> list[
     live = b.index(1.0) if 1.0 in b else len(b)
     streams = [(Philox(key=np.array([seed, t], dtype=np.uint64)).advance(start // 4),
                 np.uint64(math.ceil(b[t] * 2**53) << 11)) for t in range(live)]
-    size = min(CHUNK, stop - start)
-    off_buffer = np.empty(size, dtype=bool)
-    stays_buffer = np.empty(size, dtype=bool)
     counts = [0] * len(b)
     for low in range(start, stop, CHUNK):
         width = min(CHUNK, stop - low)
-        off, stays = off_buffer[:width], stays_buffer[:width]
-        off.fill(True)
+        off, stays = np.ones(width, dtype=bool), np.empty(width, dtype=bool)
         for t, (bit_generator, threshold) in enumerate(streams):
             # the draws stay unnamed, so a worker holds one draw array at a time
             np.greater_equal(bit_generator.random_raw(width), threshold, out=stays)
@@ -118,8 +116,8 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     n, seed, b = config.n_bulbs, config.seed, config.cohort.b
     # the CPUs this process may use, which a container may set below os.cpu_count()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    first, *rest = _spans(n, cpus)
-    results = [None] * len(rest)
+    spans = _spans(n, cpus)
+    results = [None] * len(spans)
 
     def work(i, span):
         # Caught here so that a failure reaches the caller, not threading.excepthook.
@@ -128,18 +126,17 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         except BaseException as exc:
             results[i] = exc
 
-    threads = [threading.Thread(target=work, args=item) for item in enumerate(rest)]
+    # span 0 runs on the calling thread, each other span on a thread of its own
+    threads = [threading.Thread(target=work, args=item) for item in enumerate(spans[1:], start=1)]
     for thread in threads:
         thread.start()
-    try:
-        totals = _off_counts(seed, b, *first)
-    finally:
-        for thread in threads:
-            thread.join()
+    work(0, spans[0])
+    for thread in threads:
+        thread.join()
     for counts in results:
         if isinstance(counts, BaseException):
             raise counts
-        totals = [total + count for total, count in zip(totals, counts)]
+    totals = [sum(column) for column in zip(*results)]
     steps = [StepCounts(t, off, n - off) for t, off in enumerate(totals, start=1)]
     return SimulationResult(n, seed, steps)
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
+import errno
+import io
 import json
 import os
 import resource
@@ -105,7 +107,7 @@ class TestCompute:
         assert main(["compute", str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: line 3, column 'population': "
+        assert captured.err == (f"error: {str(bad)!r}: line 3, column 'population': "
                                 "population must be a finite real number, got nan\n")
 
     def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys):
@@ -116,8 +118,18 @@ class TestCompute:
             assert main(["compute", str(bad)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: line 4: "), (newline, captured.err)
+            assert captured.err.startswith(f"error: {str(bad)!r}: line 4: not UTF-8 text ("), (newline, captured.err)
             assert len(captured.err.splitlines()) == 1
+
+    def test_a_failed_read_names_the_file(self, demo_file, monkeypatch, capsys):
+        # open succeeds and the read fails, as it can on a device or a network file system
+        class Unreadable(io.BytesIO):
+            def read(self, size=-1):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Unreadable(), raising=False)
+        assert main(["compute", demo_file]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {demo_file!r}\n")
 
     def test_line_ends_are_read_as_in_text_mode(self, demo_file, tmp_path, capsys):
         assert main(["compute", demo_file]) == 0
@@ -197,6 +209,17 @@ class TestCompare:
                          encoding="utf-8")
         assert main(["compare", demo_file, str(empty)]) == 1
         assert "no data rows" in capsys.readouterr().err
+
+    def test_an_error_names_the_file_at_fault(self, demo_file, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(DEMO.replace("1000,40", "10x0,40"), encoding="utf-8")
+        for path, message in ((empty, "no data rows found"),
+                              (bad, "line 3, column 'population': expected a number, got '10x0'")):
+            for pair in ([demo_file, str(path)], [str(path), demo_file]):
+                assert main(["compare", *pair]) == 1
+                assert capsys.readouterr() == ("", f"error: {str(path)!r}: {message}\n")
 
 
 class TestSimulate:
@@ -296,29 +319,37 @@ def test_closed_stdout_is_one_error_line(argv, demo_file, tmp_path, monkeypatch,
 
 
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import cumrisk
 from cumrisk import cli
 
-ramp, figs = sys.argv[1:]
+ramp, figs, empty = sys.argv[1:]
 argvs = (["compute", ramp], ["conditional", ramp, "--age", "40", "--horizon", "10"],
-         ["compare", ramp, ramp], ["figures", ramp, "--out", figs])
-with contextlib.redirect_stdout(io.StringIO()):
+         ["compare", ramp, ramp], ["figures", ramp, "--out", figs], ["simulate", empty])
+errors = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):
     statuses = [cli.main(argv) for argv in argvs]
-print(json.dumps({"statuses": statuses, "numpy": "numpy" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules, "all": cumrisk.__all__,
+# read before this probe imports json itself
+loaded = {name: name in sys.modules for name in ("numpy", "json", "dataclasses")}
+import json
+print(json.dumps({"statuses": statuses, "errors": errors.getvalue(), **loaded, "all": cumrisk.__all__,
                   "unresolved": [name for name in cumrisk.__all__ if not hasattr(cumrisk, name)]}))
 """
 
 
 def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_file, tmp_path):
-    # A fresh interpreter: this test process has numpy loaded already.
+    # A fresh interpreter: this test process has numpy and json loaded already.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ramp_file, str(tmp_path / "figs")],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ramp_file, str(tmp_path / "figs"), str(empty)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     probe = json.loads(proc.stdout)
-    assert probe["statuses"] == [0, 0, 0, 0]
+    # the four CSV subcommands succeed; simulate refuses its input before it loads numpy
+    assert probe["statuses"] == [0, 0, 0, 0, 1]
+    assert probe["errors"] == f"error: {str(empty)!r}: no data rows found\n"
     assert probe["numpy"] is False
+    assert probe["json"] is False
     assert probe["dataclasses"] is False
     assert len(probe["all"]) == len(set(probe["all"]))
     assert probe["unresolved"] == []

@@ -452,3 +452,10 @@ def test_json_writer_refuses_a_value_json_dumps_refuses():
     with pytest.raises(TypeError) as err:
         _emit_rows(("a",), [(value,)], "json", {}, None)
     assert str(err.value) == str(expected.value) == "Object of type object is not JSON serializable"
+
+
+def test_json_writer_writes_a_list_or_dict_value_on_one_line():
+    # no program path holds one: json.dumps writes it, without the indent of the document around it
+    document = _emit_rows(("a", "b"), [([1, 2.5, "%s"], {"k": None})], "json", {"head": (True,)}, None)
+    assert document == ('{\n  "head": [true],\n  "steps": [\n    {\n      "a": [1, 2.5, "%s"],\n'
+                        '      "b": {"k": null}\n    }\n  ]\n}\n')

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -218,6 +219,29 @@ def test_failing_worker_raises_in_the_caller(monkeypatch):
     threads_before = threading.active_count()
     with pytest.raises(MemoryError, match="span at 4"):
         simulate(SimulationConfig(cohort=ramp_cohort(groups=3), n_bulbs=12, seed=1))
+    assert hooked == []
+    assert threading.active_count() == threads_before
+
+
+def test_failing_caller_span_joins_every_worker_then_raises(monkeypatch):
+    hooked, finished = [], []
+    real = simulator._off_counts
+
+    def fail_in_first_span(seed, b, start, stop):
+        if start == 0:
+            raise MemoryError("span at 0")
+        time.sleep(0.05)  # the workers are still running when the caller's span fails
+        finished.append(start)
+        return real(seed, b, start, stop)
+
+    monkeypatch.setattr(simulator, "CHUNK", 4)
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(simulator, "_off_counts", fail_in_first_span)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    threads_before = threading.active_count()
+    with pytest.raises(MemoryError, match="span at 0"):
+        simulate(SimulationConfig(cohort=ramp_cohort(groups=3), n_bulbs=12, seed=1))
+    assert sorted(finished) == [4, 8]
     assert hooked == []
     assert threading.active_count() == threads_before
 
