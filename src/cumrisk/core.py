@@ -19,10 +19,12 @@ import math
 import numbers
 import operator
 import sys
+from array import array
 from collections import namedtuple
 
 __all__ = [
     "PROB_TOL",
+    "MAX_GROUPS",
     "NEWBORN_STATE",
     "CumriskError",
     "InvalidRecord",
@@ -49,6 +51,10 @@ __all__ = [
 
 # Tolerance for probability identities (row sums, state normalization).
 PROB_TOL = 1e-12
+
+# Age groups a Cohort may hold: a five-year table has about 18. A cohort keeps up to
+# G * (G + 1) / 2 conditional risks, 4 MB at this cap, so the cap bounds that memory.
+MAX_GROUPS = 1000
 
 _DOUBLE_MAX = sys.float_info.max
 
@@ -84,8 +90,9 @@ class InvalidRecord(CumriskError):
 
 
 class InvalidCohort(CumriskError):
-    """What only the sequence of records shows: records not iterable, an entry not an AgeGroupRecord
-    or not indexed by its position, a gap in the ages from 0, or a group after the open-ended one."""
+    """What only the sequence of records shows: records not iterable, more than MAX_GROUPS of them, an entry
+    not an AgeGroupRecord or not indexed by its position, a gap in the ages from 0, or a group after the
+    open-ended one."""
 
 
 class OutOfRange(CumriskError):
@@ -189,11 +196,19 @@ class Cohort:
     by age 5t) and ``cum_rate[t]`` have index 0 at birth. The at-risk pool
     n + 5dc counts the group's cancer deaths, who began the step undiagnosed;
     deaths from other causes are left out by design. A record with 5x > n + 5dc
-    is refused, since b would exceed 1: the counts are inconsistent. A Cohort is
+    is refused, since b would exceed 1: the counts are inconsistent. More than
+    MAX_GROUPS records are refused before any is looked at. A Cohort is
     immutable: assigning to or deleting an attribute raises AttributeError.
+
+    Its one private slot is the table ``conditional_risk`` reads: a dict, empty
+    at first, from a start step j to an ``array('d')`` whose entry h - 1 is the
+    risk within h steps of j, for every h to the last group. A query stores the
+    row it misses with one dict assignment and no row changes once stored, so
+    threads may query one Cohort at once; two that race on a start store equal
+    rows. A full sweep keeps G * (G + 1) / 2 doubles.
     """
 
-    __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate")
+    __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate", "_risks")
 
     def __init__(self, records, meta: CohortMeta = CohortMeta()):
         try:
@@ -202,6 +217,9 @@ class Cohort:
             raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
                                 f"got {type(records).__name__}") from None
         records = tuple(iterator)
+        if len(records) > MAX_GROUPS:
+            # index names the first group over the cap, so that parse_cohort can give its line
+            raise InvalidCohort(f"a cohort may hold at most {MAX_GROUPS} age groups", index=MAX_GROUPS + 1)
         b, p00, p_off, cum_rate = [], [], [1.0], [0.0]
         off = 1.0
         annual_sum = 0.0
@@ -237,8 +255,8 @@ class Cohort:
             p_off.append(off)
             cum_rate.append(rate)
             expected_low = age_high  # None after an open-ended group
-        prefixes = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate))
-        for name, value in zip(Cohort.__slots__, prefixes):
+        values = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate), {})
+        for name, value in zip(Cohort.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -247,7 +265,7 @@ class Cohort:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__
+        # copy and pickle would restore the slots through __setattr__; a copy starts with an empty table
         return type(self), (self.records, self.meta)
 
     def __len__(self) -> int:
@@ -456,6 +474,10 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
     rather than taken as a ratio of prefixes, which would divide by zero
     after a group with b = 1.
 
+    The first query from a start step multiplies out every window from it,
+    to the last group, and the Cohort keeps them (see ``Cohort``), so a
+    repeated query, or another horizon from the same start, is one lookup.
+
     Raises:
         OutOfRange: unless both arguments are integers, 0 <= current_step,
             1 <= horizon_steps and current_step + horizon_steps <= number of
@@ -479,7 +501,16 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
                 f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
                 f"{groups} groups; the maximum age is {5 * groups} years{last}"
             )
-    return 1.0 - math.prod(cohort.p00[current_step:current_step + horizon_steps], start=1.0)
+    row = cohort._risks.get(current_step)
+    if row is None:
+        risks = []
+        off = 1.0
+        for stay in cohort.p00[current_step:]:
+            off *= stay
+            risks.append(1.0 - off)
+        # kept as doubles: float objects kept between a caller's temporaries would pin allocator pools
+        row = cohort._risks[current_step] = array("d", risks)
+    return row[horizon_steps - 1]
 
 
 def compare(a: Cohort, b: Cohort) -> ComparisonReport:

@@ -14,6 +14,7 @@ from io import StringIO
 from itertools import chain
 
 from .core import (
+    MAX_GROUPS,
     AgeGroupRecord,
     Cohort,
     ComparisonReport,
@@ -73,7 +74,8 @@ def parse_cohort(text: str) -> Cohort:
     Group indices are assigned 1..G in file order. Blank lines are skipped;
     unknown extra columns are ignored, even when repeated or blank. The
     parser reads the table; building the Cohort validates it, and an error
-    there is given the line of the group it names.
+    there is given the line of the group it names. Reading stops at the group
+    after the first MAX_GROUPS, which Cohort refuses.
     """
     # csv finds the line ends itself; str.splitlines would also break at form feeds
     reader = csv.reader(StringIO(text.removeprefix("\ufeff"), newline=""))
@@ -115,6 +117,8 @@ def parse_cohort(text: str) -> Cohort:
             # all seven fields are given, so namedtuple's generated __new__ has nothing to add
             records.append(tuple.__new__(AgeGroupRecord, fields))
             lines.append(line)
+            if len(lines) > MAX_GROUPS:
+                break  # Cohort refuses these records; reading on would only cost time and memory
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
     if not records:

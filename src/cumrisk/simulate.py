@@ -15,10 +15,12 @@ one that turns every bulb RED; bulbs that are already RED ignore theirs.
 The bulbs are processed in chunks of CHUNK, each with flag arrays of its own
 for OFF and for staying OFF, so a worker's memory does not grow with the
 population; it does grow with the cohort, as a worker keeps one Philox stream
-per age group. Populations above one chunk are split into contiguous spans,
-one per CPU, that run on threads: numpy releases the GIL while it fills raw
-draws and compares them, and the per-step counts of the spans are integers
-whose sum is exact.
+per age group, at most core.MAX_GROUPS of them. Run time grows with the
+bulb-steps, bulbs times groups, and a run is refused above MAX_BULBS bulbs or
+MAX_BULBS * 18 bulb-steps. Populations above one chunk are split into
+contiguous spans, one per CPU, that run on threads: numpy releases the GIL
+while it fills raw draws and compares them, and the per-step counts of the
+spans are integers whose sum is exact.
 """
 
 import math
@@ -42,9 +44,11 @@ __all__ = [
     "empirical_series",
 ]
 
-# Memory does not grow with the population, but run time does: an 18-group cohort costs about
-# 0.15 CPU-seconds per 10**6 bulbs, so the cap bounds a run at some 15 CPU-seconds. More is refused.
+# Run time grows with the bulb-steps, bulbs times age groups, at about 8 ns each: 0.15 CPU-seconds
+# per 10**6 bulbs on an 18-group cohort. A run may take MAX_BULBS bulbs and at most as many
+# bulb-steps as MAX_BULBS bulbs on 18 groups, which bounds it at some 15 CPU-seconds. More is refused.
 MAX_BULBS = 10**8
+_MAX_BULB_STEPS = MAX_BULBS * 18
 
 # Bulbs per chunk. A multiple of 4, because Philox.advance(k) skips 4k draws.
 CHUNK = 1 << 16
@@ -63,6 +67,9 @@ class SimulationConfig(namedtuple("SimulationConfig", "cohort n_bulbs seed")):
                 raise CumriskError(f"{name} must be an integer, got {_show(value)}")
         if not 1 <= n_bulbs <= MAX_BULBS:
             raise CumriskError(f"n_bulbs must be between 1 and {MAX_BULBS}, got {_show(n_bulbs, str)}")
+        if n_bulbs * len(cohort) > _MAX_BULB_STEPS:
+            raise CumriskError(f"n_bulbs * age groups = {n_bulbs} * {len(cohort)} = {n_bulbs * len(cohort)} "
+                               f"bulb-steps exceeds the limit of {_MAX_BULB_STEPS}")
         if not 0 <= seed < 2**64:
             raise CumriskError(f"seed must fit in an unsigned 64-bit integer, got {_show(seed, str)}")
         return tuple.__new__(cls, (cohort, n_bulbs, seed))

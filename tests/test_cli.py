@@ -14,7 +14,7 @@ import pytest
 import cumrisk
 from cumrisk import cli
 from cumrisk.cli import main
-from cumrisk.core import red_probability
+from cumrisk.core import MAX_GROUPS, red_probability
 from cumrisk.io import emit_cohort, parse_cohort
 from helpers import make_cohort, ramp_cohort
 
@@ -160,6 +160,18 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err == f"error: {str(path)!r} is larger than the input limit of {len(DEMO)} bytes\n"
 
+    def test_a_cohort_at_the_group_cap_is_read_and_one_group_more_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        rows = [f"{5 * i},{5 * i + 5},1000,1,0\n" for i in range(MAX_GROUPS + 1)]
+        path.write_text(DEMO.splitlines(keepends=True)[0] + "".join(rows[:MAX_GROUPS]), encoding="utf-8")
+        assert main(["compute", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert (len(captured.out.splitlines()), captured.err) == (MAX_GROUPS + 1, "")
+        path.write_text(DEMO.splitlines(keepends=True)[0] + "".join(rows), encoding="utf-8")
+        assert main(["compute", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {str(path)!r}: line {MAX_GROUPS + 2}: "
+                                           f"a cohort may hold at most {MAX_GROUPS} age groups\n")
+
 
 class TestConditional:
     def test_single_group_horizon(self, demo_file, capsys):
@@ -256,6 +268,13 @@ class TestSimulate:
         assert main(["simulate", demo_file, "--bulbs", "1000000000000"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_rejects_bulb_steps_over_the_budget_before_drawing(self, tmp_path, capsys):
+        path = tmp_path / "ramp19.csv"
+        path.write_text(emit_cohort(ramp_cohort(groups=19)), encoding="utf-8")
+        assert main(["simulate", str(path), "--bulbs", "100000000"]) == 1
+        assert capsys.readouterr() == ("", "error: n_bulbs * age groups = 100000000 * 19 = 1900000000 "
+                                           "bulb-steps exceeds the limit of 1800000000\n")
 
 
 class TestFigures:

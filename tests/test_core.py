@@ -3,12 +3,17 @@
 import copy
 import math
 import pickle
+import random
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cumrisk.core import (
+    MAX_GROUPS,
     NEWBORN_STATE,
     AgeGroupRecord,
     Cohort,
@@ -28,7 +33,7 @@ from cumrisk.core import (
     risk_series,
     transition_matrices,
 )
-from helpers import make_cohort, make_record, ramp_cohort
+from helpers import make_cohort, make_record, ramp_cohort, reference_conditional_risk
 
 
 class TestEstimateTransition:
@@ -269,6 +274,62 @@ class TestConditionalRisk:
             conditional_risk(cohort, 2, 2)
 
 
+def windows(cohort):
+    """Every (current_step, horizon_steps) a cohort answers, start-major."""
+    groups = len(cohort)
+    return [(j, h) for j in range(groups) for h in range(1, groups - j + 1)]
+
+
+class TestConditionalRiskTable:
+    """The windows a Cohort keeps once conditional_risk has multiplied them out."""
+
+    def test_threads_sweeping_one_fresh_cohort_get_the_reference_doubles(self):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # so that the threads interleave inside one miss
+        try:
+            for seed in range(10):
+                cohort = ramp_cohort(b_high=0.05 + 0.01 * seed)
+                expected = {window: reference_conditional_risk(cohort, *window) for window in windows(cohort)}
+                orders = [windows(cohort), windows(cohort)[::-1], sorted(windows(cohort), key=lambda w: w[::-1]),
+                          random.Random(seed).sample(windows(cohort), len(expected))]
+                results = [None] * len(orders)
+                barrier = threading.Barrier(len(orders))
+
+                def sweep(i):
+                    barrier.wait(timeout=60)
+                    results[i] = {window: conditional_risk(cohort, *window) for window in orders[i]}
+
+                threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(orders))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * len(orders)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_a_copy_of_a_queried_cohort_gives_the_same_doubles(self):
+        cohort = ramp_cohort()
+        expected = [conditional_risk(cohort, j, h) for j, h in windows(cohort)]
+        for clone in (copy.copy(cohort), copy.deepcopy(cohort), pickle.loads(pickle.dumps(cohort))):
+            assert [conditional_risk(clone, j, h) for j, h in windows(clone)] == expected
+
+    def test_a_full_sweep_of_an_eighteen_group_cohort_keeps_a_few_kilobytes(self):
+        cohort = ramp_cohort(groups=18)
+        conditional_risk(cohort, 0, 1)  # one row kept before the count starts, as any first miss allocates
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for j, h in windows(cohort):
+                conditional_risk(cohort, j, h)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 153 more doubles in 17 arrays, and the dict that holds them
+        assert kept <= 6 * 1024
+
+
 QUERIES = {
     "red_probability": red_probability,
     "cumulative_rate": cumulative_rate,
@@ -356,6 +417,17 @@ class TestCohortPrefixes:
         for clone in (copy.copy(cohort), copy.deepcopy(cohort), pickle.loads(pickle.dumps(cohort))):
             assert (clone.records, clone.meta, clone.b, clone.p00, clone.p_off, clone.cum_rate) == \
                 (cohort.records, cohort.meta, cohort.b, cohort.p00, cohort.p_off, cohort.cum_rate)
+
+    def test_a_cohort_holds_at_most_max_groups(self):
+        row = (1000.0, 1.0)
+        assert len(make_cohort([row] * MAX_GROUPS)) == MAX_GROUPS
+        with pytest.raises(InvalidCohort) as err:
+            make_cohort([row] * (MAX_GROUPS + 1))
+        assert (err.value.index, err.value.column, err.value.line) == (MAX_GROUPS + 1, None, None)
+        assert str(err.value) == f"group {MAX_GROUPS + 1}: a cohort may hold at most {MAX_GROUPS} age groups"
+        # refused before any record is looked at: these are no records at all
+        with pytest.raises(InvalidCohort, match=f"at most {MAX_GROUPS} age groups$"):
+            Cohort([None] * (MAX_GROUPS + 1))
 
     def test_errors_name_the_group_and_column(self):
         with pytest.raises(InvalidRecord) as err:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cumrisk
-from cumrisk.core import AgeGroupRecord, CumriskError, InvalidCohort, InvalidRecord, compare, risk_series
+from cumrisk.core import MAX_GROUPS, AgeGroupRecord, CumriskError, InvalidCohort, InvalidRecord, compare, risk_series
 from cumrisk.io import (
     COMPARISON_COLUMNS,
     OPTIONAL_COLUMNS,
@@ -270,6 +270,15 @@ class TestParseCohort:
             with pytest.raises(CumriskError) as err:
                 parse_cohort(doc(*rows))
             assert (type(err.value), err.value.line) == (kind, line)
+
+    def test_reading_stops_at_the_group_over_the_cap(self):
+        rows = [f"{5 * i},{5 * i + 5},1000,1,0" for i in range(MAX_GROUPS + 1)]
+        assert len(parse_cohort(doc(*rows[:MAX_GROUPS]))) == MAX_GROUPS
+        # the malformed row after the first group over the cap is never read
+        with pytest.raises(InvalidCohort) as err:
+            parse_cohort(doc(*rows, "x,y,z,w,v"))
+        assert (err.value.index, err.value.line, err.value.column) == (MAX_GROUPS + 1, MAX_GROUPS + 2, None)
+        assert str(err.value) == f"line {MAX_GROUPS + 2}: a cohort may hold at most {MAX_GROUPS} age groups"
 
     def test_empty_document(self):
         with pytest.raises(ParseError) as err:

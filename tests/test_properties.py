@@ -290,6 +290,23 @@ def test_window_products_are_within_their_rounding_bound_of_the_exact_value(coho
 
 any_b_cohorts = st.one_of(tiny_b_cohorts(), edge_cohorts())
 
+
+@given(st.one_of(cohorts(), edge_cohorts(), tiny_b_cohorts()),
+       st.sampled_from(("start-major", "horizon-major", "shuffled", "repeated")), st.randoms())
+@settings(deadline=None)
+def test_every_window_is_the_reference_double_in_any_query_order(cohort, order, rng):
+    # the first query from a start keeps the windows of all horizons from it; each later one reads them
+    groups = len(cohort)
+    windows = [(j, h) for j in range(groups) for h in range(1, groups - j + 1)]
+    if order == "horizon-major":
+        windows.sort(key=lambda window: window[::-1])
+    elif order == "shuffled":
+        rng.shuffle(windows)
+    elif order == "repeated":
+        windows = [window for window in windows for _ in range(2)] + windows
+    for j, h in windows:
+        assert conditional_risk(cohort, j, h).hex() == reference_conditional_risk(cohort, j, h).hex(), (j, h)
+
 # Half the smallest subnormal: the most a result that rounds into the subnormal range loses.
 HALF_SUBNORMAL = Fraction(1, 2**1075)
 # The relative error of b after four roundings: 5.0 * x, 5.0 * dc, the pool n + 5dc and the quotient.

@@ -112,6 +112,19 @@ def test_config_rejects_empty_panel():
         SimulationConfig(cohort, 10, 1)._replace(n_bulbs=0)
 
 
+def test_config_budgets_bulb_steps():
+    # every population accepted on an 18-group cohort; one group more and MAX_BULBS is over the budget
+    assert SimulationConfig(ramp_cohort(groups=18), MAX_BULBS, 1).n_bulbs == MAX_BULBS
+    longer = ramp_cohort(groups=19)
+    with pytest.raises(CumriskError) as err:
+        SimulationConfig(longer, MAX_BULBS, 1)
+    assert str(err.value) == (f"n_bulbs * age groups = {MAX_BULBS} * 19 = {19 * MAX_BULBS} bulb-steps "
+                              f"exceeds the limit of {18 * MAX_BULBS}")
+    assert SimulationConfig(longer, 18 * MAX_BULBS // 19, 1).n_bulbs == 18 * MAX_BULBS // 19
+    with pytest.raises(CumriskError, match="bulb-steps exceeds"):
+        SimulationConfig(longer, 10, 1)._replace(n_bulbs=MAX_BULBS)
+
+
 def test_config_rejects_what_is_not_a_cohort():
     # simulate would fail later, on an attribute the value lacks
     for cohort in ("x", None, ramp_cohort(groups=2).records):
