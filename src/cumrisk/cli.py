@@ -44,12 +44,16 @@ def _load_cohort(path: str) -> Cohort:
     if len(data) > MAX_INPUT_BYTES:
         raise ParseError(f"{path!r} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
     try:
-        return parse_cohort(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # "\n", "\r" and "\r\n" end a line, for bytes.splitlines as for csv
         error = ParseError(f"not UTF-8 text ({exc.reason})", line=len((data[:exc.start] + b".").splitlines()))
-    except CumriskError as exc:
-        error = exc
+    else:
+        del data  # the bytes are not needed once decoded; parsing makes a copy of its own
+        try:
+            return parse_cohort(text)
+        except CumriskError as exc:
+            error = exc
     raise type(error)(f"{path!r}: {error}") from None
 
 

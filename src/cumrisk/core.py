@@ -200,12 +200,13 @@ class Cohort:
     MAX_GROUPS records are refused before any is looked at. A Cohort is
     immutable: assigning to or deleting an attribute raises AttributeError.
 
-    Its one private slot is the table ``conditional_risk`` reads: a dict, empty
-    at first, from a start step j to an ``array('d')`` whose entry h - 1 is the
-    risk within h steps of j, for every h to the last group. A query stores the
-    row it misses with one dict assignment and no row changes once stored, so
+    Its one private slot is the table ``conditional_risk`` reads: a list with
+    one row per start step j, each empty at first, that becomes an
+    ``array('d')`` whose entry h - 1 is the risk within h steps of j, for every
+    h to the last group, on the first query from j. A query stores the row it
+    misses with one list item assignment and no row changes once stored, so
     threads may query one Cohort at once; two that race on a start store equal
-    rows. A full sweep keeps G * (G + 1) / 2 doubles.
+    rows. A full sweep keeps G * (G + 1) / 2 doubles in G arrays.
     """
 
     __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate", "_risks")
@@ -255,7 +256,7 @@ class Cohort:
             p_off.append(off)
             cum_rate.append(rate)
             expected_low = age_high  # None after an open-ended group
-        values = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate), {})
+        values = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate), [()] * len(records))
         for name, value in zip(Cohort.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -379,7 +380,9 @@ class ComparisonReport:
 
 def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:
     """Estimated matrices for every group of the cohort, in step order."""
-    return [TransitionMatrix(p00, b) for p00, b in zip(cohort.p00, cohort.b)]
+    # A Cohort holds float b in [0, 1] and p00 = 1.0 - b, so p00 is in [0, 1] and |p00 + b - 1| <= 2**-52:
+    # every check in TransitionMatrix.__new__ passes, and the rows are built without repeating them.
+    return [tuple.__new__(TransitionMatrix, row) for row in zip(cohort.p00, cohort.b)]
 
 
 def _step_index(name: str, value) -> int:
@@ -404,9 +407,13 @@ def cumulative_rate(cohort: Cohort, t: int) -> float:
     Raises:
         OutOfRange: unless t is an integer and 1 <= t <= number of groups.
     """
-    if type(t) is not int or not 1 <= t <= len(cohort.records):
-        t = _check_step(cohort, t)
-    return cohort.cum_rate[t]
+    # one test for the common case; past the last step, IndexError sends t to the check that names the fault
+    if type(t) is int and t >= 1:
+        try:
+            return cohort.cum_rate[t]
+        except IndexError:
+            pass
+    return cohort.cum_rate[_check_step(cohort, t)]
 
 
 def cumulative_risk_from_rate(rate: float) -> float:
@@ -448,9 +455,12 @@ def red_probability(cohort: Cohort, t: int) -> float:
     Raises:
         OutOfRange: unless t is an integer and 1 <= t <= number of groups.
     """
-    if type(t) is not int or not 1 <= t <= len(cohort.records):
-        t = _check_step(cohort, t)
-    return 1.0 - cohort.p_off[t]
+    if type(t) is int and t >= 1:  # as in cumulative_rate
+        try:
+            return 1.0 - cohort.p_off[t]
+        except IndexError:
+            pass
+    return 1.0 - cohort.p_off[_check_step(cohort, t)]
 
 
 def risk_series(cohort: Cohort) -> RiskSeries:
@@ -477,12 +487,22 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
     The first query from a start step multiplies out every window from it,
     to the last group, and the Cohort keeps them (see ``Cohort``), so a
     repeated query, or another horizon from the same start, is one lookup.
+    Two int arguments are tested once and index the kept rows straight away;
+    an IndexError (a start not yet queried, or a window outside the cohort)
+    or any other type sends the query to the full check.
 
     Raises:
         OutOfRange: unless both arguments are integers, 0 <= current_step,
             1 <= horizon_steps and current_step + horizon_steps <= number of
             groups; the message gives the ages too.
     """
+    rows = cohort._risks
+    # one test for the common case: a kept window is one lookup; an empty row or a step past the end raises
+    if type(current_step) is int and type(horizon_steps) is int and current_step >= 0 and horizon_steps >= 1:
+        try:
+            return rows[current_step][horizon_steps - 1]
+        except IndexError:
+            pass
     groups = len(cohort.records)
     if (type(current_step) is not int or type(horizon_steps) is not int
             or not 0 <= current_step < current_step + horizon_steps <= groups):
@@ -501,15 +521,15 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
                 f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
                 f"{groups} groups; the maximum age is {5 * groups} years{last}"
             )
-    row = cohort._risks.get(current_step)
-    if row is None:
+    row = rows[current_step]
+    if not row:  # the first query from this start; a numpy integer on a kept start reads the kept row
         risks = []
         off = 1.0
         for stay in cohort.p00[current_step:]:
             off *= stay
             risks.append(1.0 - off)
         # kept as doubles: float objects kept between a caller's temporaries would pin allocator pools
-        row = cohort._risks[current_step] = array("d", risks)
+        row = rows[current_step] = array("d", risks)
     return row[horizon_steps - 1]
 
 

@@ -83,10 +83,12 @@ def parse_cohort(text: str) -> Cohort:
     records: list[AgeGroupRecord] = []
     lines: list[int] = []  # the line of each group, in index order
     try:
-        for row in reader:
+        # csv yields [] for an empty line, which filter drops without a Python step; line_num stays the
+        # line of the row yielded
+        for row in filter(None, reader):
             line = reader.line_num
             cells = [cell.strip() for cell in row]
-            if not any(cells):
+            if not any(cells):  # whitespace or commas only
                 continue
             if positions is None:
                 # the position of each column read: REQUIRED_COLUMNS, then other_deaths if present

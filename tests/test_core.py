@@ -108,10 +108,9 @@ class TestCumulativeRate:
 
     def test_step_out_of_range(self):
         cohort = make_cohort([(1000.0, 20.0)])
-        with pytest.raises(OutOfRange):
-            cumulative_rate(cohort, 0)
-        with pytest.raises(OutOfRange):
-            cumulative_rate(cohort, 2)
+        for step in (-1, 0, 2):  # -1 and 0 would index the prefixes' last and birth entries
+            with pytest.raises(OutOfRange, match=f"^step {step} outside the cohort's range 1..1$"):
+                cumulative_rate(cohort, step)
 
 
 class TestCumulativeRiskFromRate:
@@ -199,10 +198,9 @@ class TestRedProbability:
 
     def test_step_out_of_range(self):
         cohort = make_cohort([(1000.0, 20.0)])
-        with pytest.raises(OutOfRange):
-            red_probability(cohort, 0)
-        with pytest.raises(OutOfRange):
-            red_probability(cohort, 2)
+        for step in (-1, 0, 2):  # -1 and 0 would index the prefixes' last and birth entries
+            with pytest.raises(OutOfRange, match=f"^step {step} outside the cohort's range 1..1$"):
+                red_probability(cohort, step)
 
 
 class TestRiskSeries:
@@ -264,14 +262,32 @@ class TestConditionalRisk:
         assert conditional_risk(cohort, 1, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_windows(self):
+        too_far = r"exceeds the cohort's 3 groups; the maximum age is 15 years \(last group 10-14\)$"
+        bad = {(-1, 1): r"^current step must be >= 0, got -1 \(age -5 years\)$",
+               (0, 0): r"^horizon must be at least one step \(5 years\), got 0 \(0 years\)$",
+               (1, 0): r"^horizon must be at least one step \(5 years\), got 0 \(0 years\)$",
+               (2, 2): r"^step 2 \(age 10\) plus horizon 2 \(10 years\) " + too_far,
+               (3, 1): r"^step 3 \(age 15\) plus horizon 1 \(5 years\) " + too_far}
         cohort = make_cohort([(1000.0, 20.0)] * 3)
-        with pytest.raises(OutOfRange, match=r"got -1 \(age -5 years\)$"):
-            conditional_risk(cohort, -1, 1)
-        with pytest.raises(OutOfRange, match=r"got 0 \(0 years\)$"):
-            conditional_risk(cohort, 0, 0)
-        with pytest.raises(OutOfRange, match=r"step 2 \(age 10\) plus horizon 2 \(10 years\) .*"
-                                             r"maximum age is 15 years \(last group 10-14\)$"):
-            conditional_risk(cohort, 2, 2)
+        for swept in (False, True):
+            if swept:
+                # a kept row answers by index alone, where -1 or a horizon of 0 would wrap round to its end
+                for j, h in windows(cohort):
+                    conditional_risk(cohort, j, h)
+                assert all(cohort._risks)
+            for window, message in bad.items():
+                with pytest.raises(OutOfRange, match=message):
+                    conditional_risk(cohort, *window)
+        with pytest.raises(OutOfRange, match=r"^step 0 \(age 0\) plus horizon 1 \(5 years\) exceeds the cohort's "
+                                             r"0 groups; the maximum age is 0 years$"):
+            conditional_risk(Cohort([]), 0, 1)
+
+    def test_a_numpy_integer_on_a_kept_start_reads_the_kept_row(self):
+        cohort = ramp_cohort()
+        value = conditional_risk(cohort, 2, 3)
+        row = cohort._risks[2]
+        assert conditional_risk(cohort, np.int64(2), np.int64(3)).hex() == value.hex()
+        assert cohort._risks[2] is row
 
 
 def windows(cohort):
@@ -326,7 +342,7 @@ class TestConditionalRiskTable:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 153 more doubles in 17 arrays, and the dict that holds them
+        # 153 more doubles in 17 arrays; the list that holds the rows was made with the Cohort
         assert kept <= 6 * 1024
 
 

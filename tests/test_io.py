@@ -65,6 +65,16 @@ class TestParseCohort:
     def test_blank_lines_are_skipped(self):
         text = "\n" + HEADER + "\n\n0,5,1000,2,1\n\n"
         assert len(parse_cohort(text)) == 1
+        # empty, whitespace-only and comma-only lines between groups, and a line count that still holds after them
+        gaps = "\n  \n,,\n \t, ,\r\n\r\n"
+        text = "\n" + HEADER + "\n" + gaps + "0,5,1000,2,1\n" + gaps + "5,10,1000,2,1\n" + gaps
+        assert [record.age_low for record in parse_cohort(text)] == [0, 5]
+        with pytest.raises(ParseError) as err:
+            parse_cohort(text + "10,15,1000,x,1\n")
+        assert str(err.value) == "line 20, column 'incidence': expected a number, got 'x'"
+        with pytest.raises(InvalidCohort) as err:
+            parse_cohort(text + "15,20,1000,2,1\n")
+        assert str(err.value).startswith("line 20, column 'age_low': age_low 15 breaks contiguity")
 
     def test_byte_order_mark_is_tolerated(self):
         cohort = parse_cohort("﻿" + doc("0,5,1000,2,1"))

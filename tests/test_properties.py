@@ -291,6 +291,14 @@ def test_window_products_are_within_their_rounding_bound_of_the_exact_value(coho
 any_b_cohorts = st.one_of(tiny_b_cohorts(), edge_cohorts())
 
 
+@given(st.one_of(cohorts(), edge_cohorts(), tiny_b_cohorts()))
+@settings(deadline=None)
+def test_transition_matrices_are_the_rows_the_checked_constructor_builds(cohort):
+    matrices = transition_matrices(cohort)
+    assert all(type(m) is TransitionMatrix for m in matrices)
+    assert matrices == [TransitionMatrix(p00, b) for p00, b in zip(cohort.p00, cohort.b)]
+
+
 @given(st.one_of(cohorts(), edge_cohorts(), tiny_b_cohorts()),
        st.sampled_from(("start-major", "horizon-major", "shuffled", "repeated")), st.randoms())
 @settings(deadline=None)
