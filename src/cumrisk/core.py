@@ -21,6 +21,7 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
+from itertools import islice
 
 __all__ = [
     "PROB_TOL",
@@ -53,7 +54,7 @@ __all__ = [
 PROB_TOL = 1e-12
 
 # Age groups a Cohort may hold: a five-year table has about 18. A cohort keeps up to
-# G * (G + 1) / 2 conditional risks, 4 MB at this cap, so the cap bounds that memory.
+# G * (G + 1) / 2 + G risks in its table, about 4 MB at this cap, so the cap bounds that memory.
 MAX_GROUPS = 1000
 
 _DOUBLE_MAX = sys.float_info.max
@@ -191,25 +192,26 @@ class Cohort:
 
     Construction is the one place records are validated, and the same pass
     builds the prefixes every query reads: ``b[i] = 5x / (n + 5dc)`` is the
-    transition probability of group i + 1 and ``p00[i] = 1.0 - b[i]`` its
-    chance of staying OFF, while ``p_off[t]`` (the probability of no diagnosis
-    by age 5t) and ``cum_rate[t]`` have index 0 at birth. The at-risk pool
-    n + 5dc counts the group's cancer deaths, who began the step undiagnosed;
-    deaths from other causes are left out by design. A record with 5x > n + 5dc
-    is refused, since b would exceed 1: the counts are inconsistent. More than
-    MAX_GROUPS records are refused before any is looked at. A Cohort is
+    transition probability of group i + 1, while ``p_off[t]`` (the probability
+    of no diagnosis by age 5t) and ``cum_rate[t]`` have index 0 at birth. The
+    at-risk pool n + 5dc counts the group's cancer deaths, who began the step
+    undiagnosed; deaths from other causes are left out by design. A record with
+    5x > n + 5dc is refused, since b would exceed 1: the counts are
+    inconsistent. More than MAX_GROUPS records are refused before any is looked
+    at, and no more than MAX_GROUPS + 1 are drawn from the iterable. A Cohort is
     immutable: assigning to or deleting an attribute raises AttributeError.
 
-    Its one private slot is the table ``conditional_risk`` reads: a list with
-    one row per start step j, each empty at first, that becomes an
-    ``array('d')`` whose entry h - 1 is the risk within h steps of j, for every
-    h to the last group, on the first query from j. A query stores the row it
-    misses with one list item assignment and no row changes once stored, so
-    threads may query one Cohort at once; two that race on a start store equal
-    rows. A full sweep keeps G * (G + 1) / 2 doubles in G arrays.
+    Its one private slot is the table of diagnosis risks, one row per start
+    step j: entry h of row j is the risk within h steps for someone OFF at j,
+    and entry 0 is 0.0. Row 0, the risk by each step from birth, is built with
+    the prefixes; any other row is empty until the first ``conditional_risk``
+    query from j stores it, to the last group, as an ``array('d')`` with one
+    list item assignment. No row changes once stored, so threads may query one
+    Cohort at once; two that race on a start store equal rows. A full sweep
+    keeps G * (G + 1) / 2 + G doubles.
     """
 
-    __slots__ = ("records", "meta", "b", "p00", "p_off", "cum_rate", "_risks")
+    __slots__ = ("records", "meta", "b", "p_off", "cum_rate", "_risks")
 
     def __init__(self, records, meta: CohortMeta = CohortMeta()):
         try:
@@ -217,11 +219,11 @@ class Cohort:
         except TypeError:
             raise InvalidCohort(f"records must be an iterable of AgeGroupRecord, "
                                 f"got {type(records).__name__}") from None
-        records = tuple(iterator)
+        records = list(islice(iterator, MAX_GROUPS + 1))
         if len(records) > MAX_GROUPS:
             # index names the first group over the cap, so that parse_cohort can give its line
             raise InvalidCohort(f"a cohort may hold at most {MAX_GROUPS} age groups", index=MAX_GROUPS + 1)
-        b, p00, p_off, cum_rate = [], [], [1.0], [0.0]
+        b, p_off, cum_rate, risk = [], [1.0], [0.0], [0.0]
         off = 1.0
         annual_sum = 0.0
         expected_low = 0
@@ -241,8 +243,7 @@ class Cohort:
                 raise InvalidCohort(f"age_low {_show(age_low, str)} breaks contiguity (expected "
                                     f"{expected_low})", index=position, column="age_low")
             step_b = 5.0 * incidence / (population + 5.0 * cancer_deaths)
-            stay = 1.0 - step_b
-            off *= stay
+            off *= 1.0 - step_b
             annual_sum += incidence / population
             rate = 5.0 * annual_sum
             if not 0.0 <= step_b <= 1.0:
@@ -252,11 +253,12 @@ class Cohort:
                 raise InvalidRecord(f"the cumulative rate overflows to {rate!r}",
                                     index=position, column="incidence")
             b.append(step_b)
-            p00.append(stay)
             p_off.append(off)
             cum_rate.append(rate)
+            risk.append(1.0 - off)
             expected_low = age_high  # None after an open-ended group
-        values = (records, meta, tuple(b), tuple(p00), tuple(p_off), tuple(cum_rate), [()] * len(records))
+        table = [tuple(risk)] + [()] * (len(records) - 1)  # row 0 now, the others on their first query
+        values = (tuple(records), meta, tuple(b), tuple(p_off), tuple(cum_rate), table)
         for name, value in zip(Cohort.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -266,7 +268,7 @@ class Cohort:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__; a copy starts with an empty table
+        # copy and pickle would restore the slots through __setattr__; a copy keeps row 0 of the table alone
         return type(self), (self.records, self.meta)
 
     def __len__(self) -> int:
@@ -379,10 +381,10 @@ class ComparisonReport:
 
 
 def transition_matrices(cohort: Cohort) -> list[TransitionMatrix]:
-    """Estimated matrices for every group of the cohort, in step order."""
-    # A Cohort holds float b in [0, 1] and p00 = 1.0 - b, so p00 is in [0, 1] and |p00 + b - 1| <= 2**-52:
+    """Estimated matrices ``(1.0 - b, b)`` for every group of the cohort, in step order."""
+    # A Cohort holds float b in [0, 1], so 1.0 - b is in [0, 1] and |(1.0 - b) + b - 1| <= 2**-52:
     # every check in TransitionMatrix.__new__ passes, and the rows are built without repeating them.
-    return [tuple.__new__(TransitionMatrix, row) for row in zip(cohort.p00, cohort.b)]
+    return [tuple.__new__(TransitionMatrix, (1.0 - b, b)) for b in cohort.b]
 
 
 def _step_index(name: str, value) -> int:
@@ -448,48 +450,47 @@ def red_probability(cohort: Cohort, t: int) -> float:
     """Probability of a diagnosis by age 5t, via the closed-form product.
 
     Equals 1 minus the product of the per-group survival factors (1 - b_i)
-    for i = 1..t. Algebraically identical to propagating the newborn state
-    through the first t matrices; in floating point the two agree to well
-    within PROB_TOL.
+    for i = 1..t, read from row 0 of the Cohort's table (see ``Cohort``).
+    Algebraically identical to propagating the newborn state through the
+    first t matrices; in floating point the two agree to well within PROB_TOL.
 
     Raises:
         OutOfRange: unless t is an integer and 1 <= t <= number of groups.
     """
     if type(t) is int and t >= 1:  # as in cumulative_rate
         try:
-            return 1.0 - cohort.p_off[t]
+            return cohort._risks[0][t]
         except IndexError:
             pass
-    return 1.0 - cohort.p_off[_check_step(cohort, t)]
+    return cohort._risks[0][_check_step(cohort, t)]
 
 
 def risk_series(cohort: Cohort) -> RiskSeries:
     """Assemble the full per-step table: b, cumulative rate/risk, state split.
 
-    The RED/OFF columns come from the same prefixes as ``red_probability``,
-    so the two agree exactly.
+    The RED column is row 0 of the table ``red_probability`` reads, so the
+    two agree exactly.
     """
-    prefixes = zip(cohort.records, cohort.b, cohort.cum_rate[1:], cohort.p_off[1:])
+    prefixes = zip(cohort.records, cohort.b, cohort.cum_rate[1:], cohort._risks[0][1:], cohort.p_off[1:])
     return RiskSeries([RiskStep(record.index, record.age_label, b, rate, cumulative_risk_from_rate(rate),
-                                1.0 - off, off) for record, b, rate, off in prefixes])
+                                red, off) for record, b, rate, red, off in prefixes])
 
 
 def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> float:
     """Chance of a diagnosis within the next ``horizon_steps`` steps.
 
     Conditions on still being OFF at the end of ``current_step`` (step 0 is
-    birth), so ``conditional_risk(cohort, 0, t)`` equals
-    ``red_probability(cohort, t)``: both multiply the same survival factors
-    ``cohort.p00`` from 1.0, left to right. The window is multiplied out
-    rather than taken as a ratio of prefixes, which would divide by zero
-    after a group with b = 1.
+    birth). The answer is entry ``horizon_steps`` of row ``current_step`` of
+    the Cohort's table (see ``Cohort``), so ``conditional_risk(cohort, 0, t)``
+    is the very double ``red_probability(cohort, t)`` returns. A window is
+    multiplied out rather than taken as a ratio of prefixes, which would
+    divide by zero after a group with b = 1.
 
-    The first query from a start step multiplies out every window from it,
-    to the last group, and the Cohort keeps them (see ``Cohort``), so a
-    repeated query, or another horizon from the same start, is one lookup.
-    Two int arguments are tested once and index the kept rows straight away;
-    an IndexError (a start not yet queried, or a window outside the cohort)
-    or any other type sends the query to the full check.
+    The first query from a start step j >= 1 multiplies out every window from
+    it and the Cohort keeps them, so a repeated query, or another horizon from
+    the same start, is one lookup. Two int arguments index the table at once;
+    an IndexError (a start not yet queried, or a window outside the cohort) or
+    any other type leads to the one full check.
 
     Raises:
         OutOfRange: unless both arguments are integers, 0 <= current_step,
@@ -500,37 +501,35 @@ def conditional_risk(cohort: Cohort, current_step: int, horizon_steps: int) -> f
     # one test for the common case: a kept window is one lookup; an empty row or a step past the end raises
     if type(current_step) is int and type(horizon_steps) is int and current_step >= 0 and horizon_steps >= 1:
         try:
-            return rows[current_step][horizon_steps - 1]
+            return rows[current_step][horizon_steps]
         except IndexError:
             pass
+    current_step = _step_index("current step", current_step)
+    horizon_steps = _step_index("horizon", horizon_steps)
+    if current_step < 0:
+        raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)} "
+                         f"(age {_show(5 * current_step, str)} years)")
+    if horizon_steps < 1:
+        raise OutOfRange(f"horizon must be at least one step (5 years), got {_show(horizon_steps, str)} "
+                         f"({_show(5 * horizon_steps, str)} years)")
     groups = len(cohort.records)
-    if (type(current_step) is not int or type(horizon_steps) is not int
-            or not 0 <= current_step < current_step + horizon_steps <= groups):
-        current_step = _step_index("current step", current_step)
-        horizon_steps = _step_index("horizon", horizon_steps)
-        if current_step < 0:
-            raise OutOfRange(f"current step must be >= 0, got {_show(current_step, str)} "
-                             f"(age {_show(5 * current_step, str)} years)")
-        if horizon_steps < 1:
-            raise OutOfRange(f"horizon must be at least one step (5 years), got {_show(horizon_steps, str)} "
-                             f"({_show(5 * horizon_steps, str)} years)")
-        if current_step + horizon_steps > groups:
-            last = f" (last group {cohort.records[-1].age_label})" if groups else ""
-            raise OutOfRange(
-                f"step {_show(current_step, str)} (age {_show(5 * current_step, str)}) plus horizon "
-                f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
-                f"{groups} groups; the maximum age is {5 * groups} years{last}"
-            )
+    if current_step + horizon_steps > groups:
+        last = f" (last group {cohort.records[-1].age_label})" if groups else ""
+        raise OutOfRange(
+            f"step {_show(current_step, str)} (age {_show(5 * current_step, str)}) plus horizon "
+            f"{_show(horizon_steps, str)} ({_show(5 * horizon_steps, str)} years) exceeds the cohort's "
+            f"{groups} groups; the maximum age is {5 * groups} years{last}"
+        )
     row = rows[current_step]
     if not row:  # the first query from this start; a numpy integer on a kept start reads the kept row
-        risks = []
+        risks = [0.0]
         off = 1.0
-        for stay in cohort.p00[current_step:]:
-            off *= stay
+        for step_b in cohort.b[current_step:]:
+            off *= 1.0 - step_b
             risks.append(1.0 - off)
         # kept as doubles: float objects kept between a caller's temporaries would pin allocator pools
         row = rows[current_step] = array("d", risks)
-    return row[horizon_steps - 1]
+    return row[horizon_steps]
 
 
 def compare(a: Cohort, b: Cohort) -> ComparisonReport:
@@ -545,11 +544,11 @@ def compare(a: Cohort, b: Cohort) -> ComparisonReport:
     """
     if len(a.records) == 0 or len(b.records) == 0:
         raise CumriskError("both cohorts need at least one age group to compare")
-    # The deltas of the risk_series columns, read from the prefixes in the
-    # same operation order, so every double is the one the tables would give.
-    prefixes = zip(a.records, a.b, b.b, a.cum_rate[1:], b.cum_rate[1:], a.p_off[1:], b.p_off[1:])
+    # The deltas of the risk_series columns, read from the prefixes and row 0 of
+    # each table, so every double is the one the tables would give.
+    prefixes = zip(a.records, a.b, b.b, a.cum_rate[1:], b.cum_rate[1:], a._risks[0][1:], b._risks[0][1:],
+                   a.p_off[1:], b.p_off[1:])
     rows = [ComparisonRow(record.index, record.age_label, ba - bb, ra - rb,
-                          cumulative_risk_from_rate(ra) - cumulative_risk_from_rate(rb),
-                          (1.0 - oa) - (1.0 - ob), oa - ob)
-            for record, ba, bb, ra, rb, oa, ob in prefixes]
+                          cumulative_risk_from_rate(ra) - cumulative_risk_from_rate(rb), pa - pb, oa - ob)
+            for record, ba, bb, ra, rb, pa, pb, oa, ob in prefixes]
     return ComparisonReport(rows=rows, steps_a=len(a.records), steps_b=len(b.records))

@@ -97,8 +97,8 @@ def reference_comparison(a, b):
 def reference_conditional_risk(cohort, current_step, horizon_steps):
     """The window's survival product as a plain loop over ``cohort.b``.
 
-    The plainest reading of ``conditional_risk``; its one product over the
-    stored ``cohort.p00`` must reproduce every double exactly.
+    The plainest reading of ``conditional_risk``; every row of the Cohort's
+    table of risks must reproduce these doubles exactly.
     """
     off = 1.0
     for b in cohort.b[current_step:current_step + horizon_steps]:

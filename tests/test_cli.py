@@ -317,6 +317,15 @@ class TestFigures:
         capsys.readouterr()
         assert (outdir / "fig6_summary.csv").exists()
 
+    def test_printed_paths_are_the_ones_pathlib_joins(self, demo_file, tmp_path, monkeypatch, capsys):
+        # os.path.join would print "./figs/...", "./..." and "a//b/...": replacing Path must keep these bytes
+        monkeypatch.chdir(tmp_path)
+        names = ("fig4_transitions.csv", "fig5_red.csv", "fig6_summary.csv")
+        for out, prefix in (("./figs", "figs/"), (".", ""), ("a//b", "a/b/")):
+            assert main(["figures", demo_file, "--out", out]) == 0
+            assert capsys.readouterr() == ("".join(prefix + name + "\n" for name in names), "")
+            assert sorted(path.name for path in Path(prefix or ".").glob("fig*.csv")) == list(names)
+
     def test_empty_out_path_is_an_error(self, demo_file, capsys):
         assert main(["figures", demo_file, "--out", ""]) == 1
         captured = capsys.readouterr()

@@ -333,7 +333,7 @@ class TestConditionalRiskTable:
 
     def test_a_full_sweep_of_an_eighteen_group_cohort_keeps_a_few_kilobytes(self):
         cohort = ramp_cohort(groups=18)
-        conditional_risk(cohort, 0, 1)  # one row kept before the count starts, as any first miss allocates
+        conditional_risk(cohort, 1, 1)  # one row kept before the count starts, as any first miss allocates
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -342,7 +342,7 @@ class TestConditionalRiskTable:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 153 more doubles in 17 arrays; the list that holds the rows was made with the Cohort
+        # 152 more doubles in 16 arrays; row 0 and the list that holds the rows were made with the Cohort
         assert kept <= 6 * 1024
 
 
@@ -416,9 +416,12 @@ class TestCohortPrefixes:
     def test_prefixes_start_at_birth(self):
         cohort = make_cohort([(1000.0, 20.0), (1000.0, 40.0)])
         assert cohort.b == (0.1, 0.2)
-        assert cohort.p00 == (1.0 - 0.1, 1.0 - 0.2)
         assert cohort.p_off == (1.0, 0.9, 0.9 * (1.0 - 0.2))
         assert cohort.cum_rate == (0.0, 5.0 * 0.02, 5.0 * (0.02 + 0.04))
+        # row 0 of the table, the risk by each step, is built with the prefixes; the other row waits for a query
+        assert list(map(float.hex, cohort._risks[0])) == \
+            list(map(float.hex, (0.0, 1.0 - 0.9, 1.0 - 0.9 * (1.0 - 0.2))))
+        assert cohort._risks[1:] == [()]
 
     def test_cohort_is_frozen(self):
         cohort = make_cohort([(1000.0, 20.0)])
@@ -430,9 +433,13 @@ class TestCohortPrefixes:
 
     def test_copy_and_pickle_rebuild_the_cohort(self):
         cohort = ramp_cohort()
+        conditional_risk(cohort, 2, 1)
         for clone in (copy.copy(cohort), copy.deepcopy(cohort), pickle.loads(pickle.dumps(cohort))):
-            assert (clone.records, clone.meta, clone.b, clone.p00, clone.p_off, clone.cum_rate) == \
-                (cohort.records, cohort.meta, cohort.b, cohort.p00, cohort.p_off, cohort.cum_rate)
+            assert (clone.records, clone.meta, clone.b, clone.p_off, clone.cum_rate) == \
+                (cohort.records, cohort.meta, cohort.b, cohort.p_off, cohort.cum_rate)
+            # a copy keeps row 0 of the table alone: the row the query stored is built again on demand
+            assert list(map(float.hex, clone._risks[0])) == list(map(float.hex, cohort._risks[0]))
+            assert clone._risks[1:] == [()] * (len(cohort) - 1)
 
     def test_a_cohort_holds_at_most_max_groups(self):
         row = (1000.0, 1.0)
@@ -444,6 +451,16 @@ class TestCohortPrefixes:
         # refused before any record is looked at: these are no records at all
         with pytest.raises(InvalidCohort, match=f"at most {MAX_GROUPS} age groups$"):
             Cohort([None] * (MAX_GROUPS + 1))
+
+    def test_no_record_past_the_cap_is_drawn(self):
+        def records():
+            for index in range(1, MAX_GROUPS + 2):
+                yield make_record(index, 1000.0, 1.0)
+            raise RuntimeError("a record past the cap was drawn")
+
+        with pytest.raises(InvalidCohort) as err:
+            Cohort(records())
+        assert err.value.index == MAX_GROUPS + 1
 
     def test_errors_name_the_group_and_column(self):
         with pytest.raises(InvalidRecord) as err:

@@ -163,7 +163,9 @@ def test_compare_equals_the_difference_of_the_two_tables(a, b):
 @settings(deadline=None)
 def test_query_kernels_give_the_doubles_of_the_plain_loops(cohort):
     groups = len(cohort)
-    assert list(map(repr, cohort.p00)) == [repr(1.0 - b) for b in cohort.b]
+    # row 0 of the table, which red_probability reads, is the plain loop from birth
+    by_step = [repr(reference_conditional_risk(cohort, 0, t)) for t in range(1, groups + 1)]
+    assert list(map(repr, cohort._risks[0])) == ["0.0"] + by_step
     windows = [(s, h) for s in range(groups) for h in range(1, groups - s + 1)]
     assert [repr(conditional_risk(cohort, s, h)) for s, h in windows] == \
         [repr(reference_conditional_risk(cohort, s, h)) for s, h in windows]
@@ -296,7 +298,7 @@ any_b_cohorts = st.one_of(tiny_b_cohorts(), edge_cohorts())
 def test_transition_matrices_are_the_rows_the_checked_constructor_builds(cohort):
     matrices = transition_matrices(cohort)
     assert all(type(m) is TransitionMatrix for m in matrices)
-    assert matrices == [TransitionMatrix(p00, b) for p00, b in zip(cohort.p00, cohort.b)]
+    assert matrices == [TransitionMatrix(1.0 - b, b) for b in cohort.b]
 
 
 @given(st.one_of(cohorts(), edge_cohorts(), tiny_b_cohorts()),
