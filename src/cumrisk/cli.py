@@ -99,8 +99,6 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_figures(args) -> str:
-    if not args.directory:
-        raise CumriskError("--out directory must not be empty")
     series = risk_series(_load_cohort(args.dataset))
     outdir = Path(args.directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -174,6 +172,9 @@ def main(argv=None) -> int:
         # checked first, so that no subcommand leaves files behind and then fails
         if to_stdout and sys.stdout is None:
             raise CumriskError("standard output is closed")
+        # '' would name the working directory; figures keeps its --out as args.directory
+        if "" in (getattr(args, "out", None), getattr(args, "directory", None)):
+            raise CumriskError("--out must not be empty")
         document = args.func(args)
         if to_stdout:
             sys.stdout.write(document)

@@ -278,18 +278,22 @@ class Cohort:
         return iter(self.records)
 
 
-def _check_probability(name: str, value, slack: float) -> None:
-    if type(value) is not float and not _is_number(value, numbers.Real):
-        raise CumriskError(f"{name} must be a real number, got {_show(value)}")
-    if not -slack <= value <= 1.0 + slack:
-        raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
+def _check_pair(cls, first, second, slack: float, what: str) -> None:
+    # each entry a real number in [0, 1] give or take slack, then the sum within PROB_TOL of 1, in that order
+    for name, value in zip(cls._fields, (first, second)):
+        if type(value) is not float and not _is_number(value, numbers.Real):
+            raise CumriskError(f"{name} must be a real number, got {_show(value)}")
+        if not -slack <= value <= 1.0 + slack:
+            raise CumriskError(f"{name} must lie in [0, 1], got {_show(value)}")
+    if abs(first + second - 1.0) > PROB_TOL:
+        raise CumriskError(f"{what} must sum to 1, got {_show(first)} + {_show(second)}")
 
 
 class TransitionMatrix(namedtuple("TransitionMatrix", "p00 p01")):
     """Row-stochastic 2x2 one-step matrix; RED (second state) is absorbing.
 
-    The RED row is fixed: a diagnosis is never undone. The OFF row must sum
-    to 1 within PROB_TOL.
+    The RED row is fixed: a diagnosis is never undone. The OFF row's entries
+    must lie in [0, 1] and sum to 1 within PROB_TOL.
     """
 
     __slots__ = ()
@@ -297,12 +301,7 @@ class TransitionMatrix(namedtuple("TransitionMatrix", "p00 p01")):
     p11 = 1.0
 
     def __new__(cls, p00: float, p01: float):
-        # one test for the common case; the checks below give the message, or accept an int or a numpy float
-        if not (type(p00) is float and type(p01) is float and 0.0 <= p00 <= 1.0 and 0.0 <= p01 <= 1.0):
-            _check_probability("p00", p00, 0.0)
-            _check_probability("p01", p01, 0.0)
-        if abs(p00 + p01 - 1.0) > PROB_TOL:
-            raise CumriskError(f"OFF row must sum to 1, got {_show(p00)} + {_show(p01)}")
+        _check_pair(cls, p00, p01, 0.0, "OFF row")
         return tuple.__new__(cls, (p00, p01))
 
     # namedtuple's own _make, which _replace calls, would skip the checks in __new__
@@ -310,16 +309,15 @@ class TransitionMatrix(namedtuple("TransitionMatrix", "p00 p01")):
 
 
 class StateVector(namedtuple("StateVector", "p_off p_red")):
-    """Occupancy probabilities (OFF, RED) after some number of steps."""
+    """Occupancy probabilities (OFF, RED) after some number of steps: each in [0, 1] within PROB_TOL, summing to 1."""
 
     __slots__ = ()
 
     def __new__(cls, p_off: float, p_red: float):
-        if not (type(p_off) is float and type(p_red) is float and 0.0 <= p_off <= 1.0 and 0.0 <= p_red <= 1.0):
-            _check_probability("p_off", p_off, PROB_TOL)
-            _check_probability("p_red", p_red, PROB_TOL)
-        if abs(p_off + p_red - 1.0) > PROB_TOL:
-            raise CumriskError(f"state must sum to 1, got {_show(p_off)} + {_show(p_red)}")
+        # one test for the floats propagate makes; the full check gives the message, or accepts another real
+        if not (type(p_off) is float and type(p_red) is float and 0.0 <= p_off <= 1.0 and 0.0 <= p_red <= 1.0
+                and abs(p_off + p_red - 1.0) <= PROB_TOL):
+            _check_pair(cls, p_off, p_red, PROB_TOL, "state")
         return tuple.__new__(cls, (p_off, p_red))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # as for TransitionMatrix

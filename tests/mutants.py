@@ -1,0 +1,174 @@
+"""The mutation catalogue: faults planted in the code one at a time, each of which named tests must catch.
+
+    python tests/mutants.py
+
+For every entry of MUTANTS this copies src/, tests/ and pyproject.toml into a
+temporary directory, replaces the entry's old text, which must occur exactly
+once in its file, with the new text, and runs the entry's tests there with
+``python -m pytest -x -q``. A mutant whose tests all pass survives. The script
+names every survivor and exits 1 if there is one. An old text that does not
+occur exactly once is an error: the script says so and exits 2 before any
+test runs.
+
+The tests run in the copy, never in the checkout with the mutant reached
+through PYTHONPATH: pyproject.toml's ``pythonpath = ["src"]`` puts the
+checkout's own src/ first on sys.path, so such a mutant would not be imported.
+
+A mutation the tests catch goes in as an entry, and an entry goes only with the
+code it mutates. EQUIVALENT lists mutations that no input tells apart from the
+code; they are kept for the record and not run. The file's name does not start
+with ``test_``, so the tier-1 suite does not collect it; ``tests/test_mutants.py``
+checks that the table stays in step with the code.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# what the mutation does; the file, from the repository root; a text that occurs in it exactly once; the text
+# that replaces it; and pytest node ids, at least one of which must fail
+Mutant = namedtuple("Mutant", "what file old new tests")
+
+CORE = "src/cumrisk/core.py"
+CLI = "src/cumrisk/cli.py"
+TEST_CORE = "tests/test_core.py::"
+BAD_WINDOWS = TEST_CORE + "TestConditionalRisk::test_rejects_bad_windows"
+SINGLE_STEP = TEST_CORE + "TestConditionalRisk::test_single_step_equals_transition_probability"
+THREADS = TEST_CORE + "TestConditionalRiskTable::test_threads_sweeping_one_fresh_cohort_get_the_reference_doubles"
+CAP = TEST_CORE + "TestCohortPrefixes::test_a_cohort_holds_at_most_max_groups"
+PLAIN_CHECKS = "tests/test_properties.py::test_value_constructors_accept_and_reject_as_the_plain_checks"
+
+MUTANTS = (
+    # the cohort's cap on records
+    Mutant("the cap at >=", CORE,
+           "if len(records) > MAX_GROUPS:", "if len(records) >= MAX_GROUPS:", (CAP,)),
+    Mutant("list(iterator) without islice", CORE,
+           "records = list(islice(iterator, MAX_GROUPS + 1))", "records = list(iterator)",
+           (TEST_CORE + "TestCohortPrefixes::test_no_record_past_the_cap_is_drawn",)),
+    Mutant("islice to MAX_GROUPS", CORE,
+           "islice(iterator, MAX_GROUPS + 1)", "islice(iterator, MAX_GROUPS)", (CAP,)),
+    # row 0 of the table of risks and the matrices
+    Mutant("row 0 from p_off without the 1.0 -", CORE,
+           "risk.append(1.0 - off)", "risk.append(off)",
+           (TEST_CORE + "TestRedProbability::test_zero_incidence",)),
+    Mutant("(b, 1.0 - b) matrices", CORE,
+           "(TransitionMatrix, (1.0 - b, b))", "(TransitionMatrix, (b, 1.0 - b))",
+           (TEST_CORE + "TestEstimateTransition::test_zero_incidence_gives_identity_row",)),
+    # the queries' one test for the common case
+    Mutant("dropping t >= 1 in cumulative_rate", CORE,
+           "    if type(t) is int and t >= 1:\n        try:\n            return cohort.cum_rate[t]",
+           "    if type(t) is int:\n        try:\n            return cohort.cum_rate[t]",
+           (TEST_CORE + "TestCumulativeRate::test_step_out_of_range",)),
+    Mutant("dropping t >= 1 in red_probability", CORE,
+           "if type(t) is int and t >= 1:  # as in cumulative_rate", "if type(t) is int:  # as in cumulative_rate",
+           (TEST_CORE + "TestRedProbability::test_step_out_of_range",)),
+    Mutant("t >= 0 for t >= 1 in red_probability", CORE,
+           "t >= 1:  # as in cumulative_rate", "t >= 0:  # as in cumulative_rate",
+           (TEST_CORE + "TestRedProbability::test_step_out_of_range",)),
+    Mutant("dropping current_step >= 0 from conditional_risk's fast path", CORE,
+           "and current_step >= 0 and horizon_steps >= 1:", "and horizon_steps >= 1:", (BAD_WINDOWS,)),
+    Mutant("dropping horizon_steps >= 1 from conditional_risk's fast path", CORE,
+           "current_step >= 0 and horizon_steps >= 1:", "current_step >= 0:", (BAD_WINDOWS,)),
+    Mutant("a fast path that indexes h - 1", CORE,
+           "return rows[current_step][horizon_steps]", "return rows[current_step][horizon_steps - 1]",
+           (TEST_CORE + "TestConditionalRisk::test_from_birth_equals_unconditional_exactly",)),
+    # conditional_risk's full check and the rows it builds
+    Mutant("no current_step < 0 check on a miss", CORE,
+           "if current_step < 0:", "if False:", (BAD_WINDOWS,)),
+    Mutant("rows keyed by horizon", CORE,
+           "row = rows[current_step]\n", "row = rows[horizon_steps]\n", (BAD_WINDOWS, THREADS)),
+    Mutant("rebuilding a kept row", CORE,
+           "if not row:  # the first query", "if True:  # the first query",
+           (TEST_CORE + "TestConditionalRisk::test_a_numpy_integer_on_a_kept_start_reads_the_kept_row",)),
+    Mutant("built rows without their leading 0.0", CORE,
+           "risks = [0.0]", "risks = []", (TEST_CORE + "TestConditionalRisk::test_zero_incidence_horizon",)),
+    Mutant("rows built only to the asked horizon", CORE,
+           "in cohort.b[current_step:]:", "in cohort.b[current_step:current_step + horizon_steps]:", (BAD_WINDOWS,)),
+    Mutant("a miss path that indexes h - 1", CORE,
+           "return row[horizon_steps]", "return row[horizon_steps - 1]", (SINGLE_STEP,)),
+    Mutant("a table shared by all cohorts of one length", CORE,
+           "rows = cohort._risks", "rows = conditional_risk.__dict__.setdefault(len(cohort), cohort._risks)",
+           (THREADS,)),
+    # the check of a probability pair
+    Mutant("StateVector's one test without the sum", CORE,
+           "\n                and abs(p_off + p_red - 1.0) <= PROB_TOL):", "):",
+           (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_state_rejects_unnormalised_vector")),
+    Mutant("StateVector's slack 0.0", CORE,
+           'PROB_TOL, "state")', '0.0, "state")',
+           (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_state_tolerates_rounding_noise")),
+    Mutant("StateVector's one test without 0.0 <= p_red", CORE,
+           "and 0.0 <= p_red <= 1.0", "and p_red <= 1.0",
+           (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_state_rejects_negative_mass")),
+    Mutant("TransitionMatrix's slack PROB_TOL", CORE,
+           '0.0, "OFF row")', 'PROB_TOL, "OFF row")',
+           (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_matrix_rejects_out_of_range_entry")),
+    # the command line
+    Mutant("the empty --out check removed", CLI,
+           'if "" in (getattr(args, "out", None)', 'if False and "" in (getattr(args, "out", None)',
+           ("tests/test_cli.py::test_an_empty_out_is_one_error_line_before_any_input_is_read",)),
+)
+
+EQUIVALENT = (
+    # for a sum in [0.5, 2], first + second - 1.0 is exact, a multiple of 2**-53, and the double PROB_TOL is none;
+    # any other sum is at least 0.5 from 1
+    Mutant("the pair's sum test at >=", CORE,
+           "if abs(first + second - 1.0) > PROB_TOL:", "if abs(first + second - 1.0) >= PROB_TOL:", ()),
+)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    """``text`` with the mutant's old text replaced; ValueError unless the old text occurs exactly once."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.file}: the old text of {mutant.what!r} occurs {count} times, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    try:
+        for mutant in MUTANTS + EQUIVALENT:
+            mutate((ROOT / mutant.file).read_text(encoding="utf-8"), mutant)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # a cached module compiled from one mutant must not serve the next
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        for mutant in MUTANTS:
+            path = copy / mutant.file
+            original = path.read_text(encoding="utf-8")
+            path.write_text(mutate(original, mutant), encoding="utf-8")
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *mutant.tests],
+                                  cwd=copy, env=env, capture_output=True, text=True)
+            path.write_text(original, encoding="utf-8")
+            # pytest exits 1 when a test failed; 0 is a survivor, and any other status (a test id not found,
+            # say) means the tests never judged the mutant
+            verdict = {0: "SURVIVED", 1: "caught"}.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})")
+            print(f"{verdict:<10} {mutant.file}: {mutant.what}", flush=True)
+            if proc.returncode != 1:
+                survivors.append(mutant)
+                if proc.returncode != 0:
+                    print(proc.stdout[-2000:] + proc.stderr[-2000:], file=sys.stderr)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught, {len(EQUIVALENT)} listed as "
+          f"equivalent, in {time.perf_counter() - start:.0f} s")
+    for mutant in survivors:
+        print(f"not caught: {mutant.file}: {mutant.what}", file=sys.stderr)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -326,12 +326,6 @@ class TestFigures:
             assert capsys.readouterr() == ("".join(prefix + name + "\n" for name in names), "")
             assert sorted(path.name for path in Path(prefix or ".").glob("fig*.csv")) == list(names)
 
-    def test_empty_out_path_is_an_error(self, demo_file, capsys):
-        assert main(["figures", demo_file, "--out", ""]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert captured.out == ""
-
 
 @pytest.mark.parametrize("argv", (["compute"], ["conditional", "--age", "0", "--horizon", "5"],
                                   ["compare", "{dataset}"], ["simulate", "--bulbs", "10"],
@@ -344,6 +338,19 @@ def test_closed_stdout_is_one_error_line(argv, demo_file, tmp_path, monkeypatch,
     assert capsys.readouterr().err == "error: standard output is closed\n"
     # the error comes before the subcommand runs, so figures writes nothing
     assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize("argv", (["compute"], ["compare", "{dataset}"], ["simulate", "--bulbs", "10"], ["figures"]),
+                         ids=lambda argv: argv[0])
+def test_an_empty_out_is_one_error_line_before_any_input_is_read(argv, demo_file, tmp_path, monkeypatch, capsys):
+    # '' would name the working directory; a missing dataset shows that the check comes before any file is read
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for dataset in (demo_file, "missing.csv"):
+        assert main([argv[0], dataset, *(arg.format(dataset=dataset) for arg in argv[1:]), "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --out must not be empty\n")
+    assert list(work.iterdir()) == []
 
 
 IMPORT_PROBE = """

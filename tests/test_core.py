@@ -15,6 +15,7 @@ import pytest
 from cumrisk.core import (
     MAX_GROUPS,
     NEWBORN_STATE,
+    PROB_TOL,
     AgeGroupRecord,
     Cohort,
     CohortMeta,
@@ -486,8 +487,10 @@ class TestTypeInvariants:
             TransitionMatrix(p00=0.6, p01=0.5)
 
     def test_matrix_rejects_out_of_range_entry(self):
-        # and entries that are not real numbers, and a _replace that would break the row
+        # and the rounding noise a state tolerates, entries that are not real numbers, and a _replace that
+        # would break the row
         for make in (lambda: TransitionMatrix(p00=-0.5, p01=1.5),
+                     lambda: TransitionMatrix(p00=1.0 + 1e-13, p01=-1e-13),
                      lambda: TransitionMatrix(p00="0.5", p01="0.5"),
                      lambda: TransitionMatrix(p00=True, p01=False),
                      lambda: TransitionMatrix(p00=0.5, p01=0.5)._replace(p01=1.5)):
@@ -499,8 +502,10 @@ class TestTypeInvariants:
             StateVector(p_off=0.6, p_red=0.5)
 
     def test_state_rejects_negative_mass(self):
-        # and masses that are not real numbers, and a _replace that would break the sum
+        # and a mass one ulp past the slack, though 1.0 + p_red rounds to within PROB_TOL of 1; masses that
+        # are not real numbers; and a _replace that would break the sum
         for make in (lambda: StateVector(p_off=1.1, p_red=-0.1),
+                     lambda: StateVector(p_off=1.0, p_red=math.nextafter(-PROB_TOL, -math.inf)),
                      lambda: StateVector(p_off=None, p_red=1.0),
                      lambda: StateVector(p_off=True, p_red=False),
                      lambda: NEWBORN_STATE._replace(p_red=0.5)):
