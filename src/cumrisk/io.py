@@ -14,7 +14,6 @@ from io import StringIO
 from itertools import chain
 
 from .core import (
-    MAX_GROUPS,
     AgeGroupRecord,
     Cohort,
     ComparisonReport,
@@ -74,14 +73,23 @@ def parse_cohort(text: str) -> Cohort:
     Group indices are assigned 1..G in file order. Blank lines are skipped;
     unknown extra columns are ignored, even when repeated or blank. The
     parser reads the table; building the Cohort validates it, and an error
-    there is given the line of the group it names. Reading stops at the group
-    after the first MAX_GROUPS, which Cohort refuses.
+    there is given the line of the group it names. Reading stops where Cohort
+    stops drawing records: at the group after the first MAX_GROUPS.
     """
     # csv finds the line ends itself; str.splitlines would also break at form feeds
-    reader = csv.reader(StringIO(text.removeprefix("\ufeff"), newline=""))
-    positions = None
-    records: list[AgeGroupRecord] = []
+    stream = StringIO(text, newline="")
+    stream.seek(1 if text[:1] == "\ufeff" else 0)  # past one byte-order mark; removeprefix would copy the text
     lines: list[int] = []  # the line of each group, in index order
+    try:
+        return Cohort(records=_records(csv.reader(stream), lines))
+    except (InvalidRecord, InvalidCohort) as exc:
+        exc.line = lines[exc.index - 1]
+        raise
+
+
+def _records(reader, lines: list[int]):
+    """Yield the AgeGroupRecord of each data row of a csv reader, after appending its line to ``lines``."""
+    positions = None
     try:
         # csv yields [] for an empty line, which filter drops without a Python step; line_num stays the
         # line of the row yielded
@@ -111,25 +119,18 @@ def parse_cohort(text: str) -> Cohort:
             other = cells[other_at] if 0 <= other_at < len(cells) else ""  # absent or empty: not given
             high = cells[high_at]
             try:
-                fields = (len(records) + 1, int(cells[low_at]), None if high.lower() == "open" else int(high),
+                fields = (len(lines) + 1, int(cells[low_at]), None if high.lower() == "open" else int(high),
                           float(cells[population_at]), float(cells[incidence_at]), float(cells[deaths_at]),
                           None if other == "" else float(other))
             except ValueError:
                 raise _malformed(cells, positions, line) from None
-            # all seven fields are given, so namedtuple's generated __new__ has nothing to add
-            records.append(tuple.__new__(AgeGroupRecord, fields))
             lines.append(line)
-            if len(lines) > MAX_GROUPS:
-                break  # Cohort refuses these records; reading on would only cost time and memory
+            # all seven fields are given, so namedtuple's generated __new__ has nothing to add
+            yield tuple.__new__(AgeGroupRecord, fields)
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
-    if not records:
+    if not lines:
         raise ParseError("no data rows found")
-    try:
-        return Cohort(records=records)
-    except (InvalidRecord, InvalidCohort) as exc:
-        exc.line = lines[exc.index - 1]
-        raise
 
 
 def emit_cohort(cohort: Cohort) -> str:

@@ -38,12 +38,17 @@ Mutant = namedtuple("Mutant", "what file old new tests")
 
 CORE = "src/cumrisk/core.py"
 CLI = "src/cumrisk/cli.py"
+IO = "src/cumrisk/io.py"
+SIM = "src/cumrisk/simulate.py"
 TEST_CORE = "tests/test_core.py::"
+TEST_SIM = "tests/test_simulate.py::"
 BAD_WINDOWS = TEST_CORE + "TestConditionalRisk::test_rejects_bad_windows"
 SINGLE_STEP = TEST_CORE + "TestConditionalRisk::test_single_step_equals_transition_probability"
 THREADS = TEST_CORE + "TestConditionalRiskTable::test_threads_sweeping_one_fresh_cohort_get_the_reference_doubles"
 CAP = TEST_CORE + "TestCohortPrefixes::test_a_cohort_holds_at_most_max_groups"
 PLAIN_CHECKS = "tests/test_properties.py::test_value_constructors_accept_and_reject_as_the_plain_checks"
+BOUNDARY_WORDS = TEST_SIM + "test_raw_threshold_is_exact_at_the_boundary_words"
+BUDGET = TEST_SIM + "test_config_budgets_bulb_steps"
 
 MUTANTS = (
     # the cohort's cap on records
@@ -54,6 +59,16 @@ MUTANTS = (
            (TEST_CORE + "TestCohortPrefixes::test_no_record_past_the_cap_is_drawn",)),
     Mutant("islice to MAX_GROUPS", CORE,
            "islice(iterator, MAX_GROUPS + 1)", "islice(iterator, MAX_GROUPS)", (CAP,)),
+    Mutant("parse_cohort hands Cohort a list of its records", IO,
+           "records=_records(csv.reader(stream), lines)", "records=list(_records(csv.reader(stream), lines))",
+           ("tests/test_io.py::TestParseCohort::test_reading_stops_at_the_group_over_the_cap",)),
+    # the record's one test for the common case
+    Mutant("the record's one test without 0.0 <= incidence", CORE,
+           "0.0 <= incidence <= _DOUBLE_MAX", "incidence <= _DOUBLE_MAX",
+           (TEST_CORE + "TestTypeInvariants::test_record_rejects_negative_counts",)),
+    Mutant("the record's one test without type(other_deaths) is float", CORE,
+           "or type(other_deaths) is float and 0.0 <= other_deaths", "or 0.0 <= other_deaths",
+           ("tests/test_properties.py::test_record_validation_accepts_and_rejects_as_the_plain_checks",)),
     # row 0 of the table of risks and the matrices
     Mutant("row 0 from p_off without the 1.0 -", CORE,
            "risk.append(1.0 - off)", "risk.append(off)",
@@ -65,6 +80,10 @@ MUTANTS = (
     Mutant("dropping t >= 1 in cumulative_rate", CORE,
            "    if type(t) is int and t >= 1:\n        try:\n            return cohort.cum_rate[t]",
            "    if type(t) is int:\n        try:\n            return cohort.cum_rate[t]",
+           (TEST_CORE + "TestCumulativeRate::test_step_out_of_range",)),
+    Mutant("t >= 0 for t >= 1 in cumulative_rate", CORE,
+           "    if type(t) is int and t >= 1:\n        try:\n            return cohort.cum_rate[t]",
+           "    if type(t) is int and t >= 0:\n        try:\n            return cohort.cum_rate[t]",
            (TEST_CORE + "TestCumulativeRate::test_step_out_of_range",)),
     Mutant("dropping t >= 1 in red_probability", CORE,
            "if type(t) is int and t >= 1:  # as in cumulative_rate", "if type(t) is int:  # as in cumulative_rate",
@@ -93,6 +112,14 @@ MUTANTS = (
            "in cohort.b[current_step:]:", "in cohort.b[current_step:current_step + horizon_steps]:", (BAD_WINDOWS,)),
     Mutant("a miss path that indexes h - 1", CORE,
            "return row[horizon_steps]", "return row[horizon_steps - 1]", (SINGLE_STEP,)),
+    Mutant("a reversed window product", CORE,
+           "in cohort.b[current_step:]:", "in cohort.b[current_step:][::-1]:", (THREADS,)),
+    Mutant("a 1e-14 shift of every window result of a built row", CORE,
+           "risks.append(1.0 - off)", "risks.append(1.0 - off + 1e-14)",
+           (TEST_CORE + "TestConditionalRisk::test_zero_incidence_horizon", THREADS)),
+    Mutant("a wrong propagate row", CORE,
+           "p_off * p00 + p_red * p10", "p_off * p00 + p_red * p11",
+           (TEST_CORE + "TestPropagate::test_two_step_hand_value",)),
     Mutant("a table shared by all cohorts of one length", CORE,
            "rows = cohort._risks", "rows = conditional_risk.__dict__.setdefault(len(cohort), cohort._risks)",
            (THREADS,)),
@@ -109,6 +136,28 @@ MUTANTS = (
     Mutant("TransitionMatrix's slack PROB_TOL", CORE,
            '0.0, "OFF row")', 'PROB_TOL, "OFF row")',
            (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_matrix_rejects_out_of_range_entry")),
+    # the simulator's threshold on raw draws and its budget
+    Mutant("floor for ceil in the threshold", SIM,
+           "math.ceil(b[t] * 2**53)", "math.floor(b[t] * 2**53)", (BOUNDARY_WORDS,)),
+    Mutant("np.greater for np.greater_equal", SIM,
+           "np.greater_equal(bit_generator", "np.greater(bit_generator", (BOUNDARY_WORDS,)),
+    Mutant("a threshold one word high", SIM,
+           "np.uint64(math.ceil(b[t] * 2**53) << 11)", "np.uint64((math.ceil(b[t] * 2**53) << 11) + 1)",
+           (BOUNDARY_WORDS,)),
+    Mutant("no stop at the first step with b = 1", SIM,
+           "live = b.index(1.0) if 1.0 in b else len(b)", "live = len(b)",
+           (TEST_SIM + "test_certain_transition_turns_every_bulb_red",)),
+    Mutant("the draws bound to a name", SIM,
+           "            np.greater_equal(bit_generator.random_raw(width), threshold, out=stays)\n",
+           "            draws = bit_generator.random_raw(width)\n"
+           "            np.greater_equal(draws, threshold, out=stays)\n",
+           (TEST_SIM + "test_memory_stays_flat_as_the_panel_grows",)),
+    Mutant("the bulb-step budget at >=", SIM,
+           "if n_bulbs * len(cohort) > _MAX_BULB_STEPS:", "if n_bulbs * len(cohort) >= _MAX_BULB_STEPS:",
+           (BUDGET,)),
+    Mutant("no bulb-step budget", SIM,
+           "if n_bulbs * len(cohort) > _MAX_BULB_STEPS:", "if False:",
+           (BUDGET, "tests/test_cli.py::TestSimulate::test_rejects_bulb_steps_over_the_budget_before_drawing")),
     # the command line
     Mutant("the empty --out check removed", CLI,
            'if "" in (getattr(args, "out", None)', 'if False and "" in (getattr(args, "out", None)',

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestParseCohort:
         with pytest.raises(ParseError) as err:
             parse_cohort("\ufeff\ufeff" + doc("0,5,1000,2,1"))
         assert str(err.value) == "line 1, column 'age_low': required column missing from header"
+
+    def test_a_byte_order_mark_costs_no_copy_of_the_text(self):
+        text = doc("0,5,1000,2,1") + "\n" * (2 << 20)
+        marked = "\ufeff" + text
+        peaks = []
+        tracemalloc.start()
+        try:
+            for document in (text, marked):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert len(parse_cohort(document)) == 1
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        # a copy of the text without its mark would add 2 MiB; the slack is for the allocator's own noise
+        assert peaks[1] <= peaks[0] + 2**16, peaks
 
     def test_other_deaths_column_is_optional(self):
         bare = parse_cohort(doc("0,5,1000,2,1"))
@@ -289,6 +306,10 @@ class TestParseCohort:
             parse_cohort(doc(*rows, "x,y,z,w,v"))
         assert (err.value.index, err.value.line, err.value.column) == (MAX_GROUPS + 1, MAX_GROUPS + 2, None)
         assert str(err.value) == f"line {MAX_GROUPS + 2}: a cohort may hold at most {MAX_GROUPS} age groups"
+        # a malformed group over the cap is read, and its cell is the error
+        with pytest.raises(ParseError) as err:
+            parse_cohort(doc(*rows[:MAX_GROUPS], "x,y,z,w,v"))
+        assert str(err.value) == f"line {MAX_GROUPS + 2}, column 'age_low': expected an integer, got 'x'"
 
     def test_empty_document(self):
         with pytest.raises(ParseError) as err:
