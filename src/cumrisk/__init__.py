@@ -4,7 +4,8 @@ Estimates per-age-group transition probabilities from incidence tables,
 propagates OFF/RED state vectors, computes the classical cumulative
 rate/risk pair, answers conditional-risk and cohort-comparison queries, and
 cross-checks everything against a seeded Monte Carlo population simulator,
-`cumrisk.simulate`, the one module that imports numpy.
+`cumrisk.simulate`, the one module that imports numpy, and only for runs
+over its budget of bulb-steps.
 """
 
 from . import core, io

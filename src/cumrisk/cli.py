@@ -83,9 +83,9 @@ def _cmd_compare(args) -> str:
 
 def _cmd_simulate(args) -> str:
     cohort = _load_cohort(args.dataset)
-    # Imported here, after the input is read, so that only this subcommand loads numpy, and not
-    # for a file it refuses. cumrisk uses no BLAS, whose idle threads would only take CPU from
-    # the simulator's.
+    # Imported here, after the input is read, so that only this subcommand can load numpy, and not
+    # for a file it refuses; the simulator imports numpy only for a run over its budget of
+    # bulb-steps. cumrisk uses no BLAS, whose idle threads would only take CPU from the simulator's.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .simulate import SimulationConfig, empirical_series, simulate
 

@@ -49,6 +49,9 @@ CAP = TEST_CORE + "TestCohortPrefixes::test_a_cohort_holds_at_most_max_groups"
 PLAIN_CHECKS = "tests/test_properties.py::test_value_constructors_accept_and_reject_as_the_plain_checks"
 BOUNDARY_WORDS = TEST_SIM + "test_raw_threshold_is_exact_at_the_boundary_words"
 BUDGET = TEST_SIM + "test_config_budgets_bulb_steps"
+LANE_WORDS = TEST_SIM + "test_lane_words_are_the_philox_raw_words"
+KERNELS = "tests/test_properties.py::test_both_simulator_kernels_give_the_reference_counts"
+SELECTION = TEST_SIM + "test_a_run_at_the_budget_takes_the_python_kernel_and_one_bulb_step_more_numpy"
 
 MUTANTS = (
     # the cohort's cap on records
@@ -136,7 +139,7 @@ MUTANTS = (
     Mutant("TransitionMatrix's slack PROB_TOL", CORE,
            '0.0, "OFF row")', 'PROB_TOL, "OFF row")',
            (PLAIN_CHECKS, TEST_CORE + "TestTypeInvariants::test_matrix_rejects_out_of_range_entry")),
-    # the simulator's threshold on raw draws and its budget
+    # the numpy kernel's threshold on raw draws, and the simulator's budget
     Mutant("floor for ceil in the threshold", SIM,
            "math.ceil(b[t] * 2**53)", "math.floor(b[t] * 2**53)", (BOUNDARY_WORDS,)),
     Mutant("np.greater for np.greater_equal", SIM,
@@ -146,7 +149,7 @@ MUTANTS = (
            (BOUNDARY_WORDS,)),
     Mutant("no stop at the first step with b = 1", SIM,
            "live = b.index(1.0) if 1.0 in b else len(b)", "live = len(b)",
-           (TEST_SIM + "test_certain_transition_turns_every_bulb_red",)),
+           (TEST_SIM + "test_certain_and_impossible_steps_in_a_threaded_multichunk_run",)),
     Mutant("the draws bound to a name", SIM,
            "            np.greater_equal(bit_generator.random_raw(width), threshold, out=stays)\n",
            "            draws = bit_generator.random_raw(width)\n"
@@ -158,6 +161,19 @@ MUTANTS = (
     Mutant("no bulb-step budget", SIM,
            "if n_bulbs * len(cohort) > _MAX_BULB_STEPS:", "if False:",
            (BUDGET, "tests/test_cli.py::TestSimulate::test_rejects_bulb_steps_over_the_budget_before_drawing")),
+    # the Python kernel: its Philox words, its threshold and the run size that selects it
+    Mutant("the lane counters starting at k, not k + 1", SIM,
+           "range(first + 1, first + blocks + 1)", "range(first, first + blocks)", (LANE_WORDS,)),
+    Mutant("a Weyl key increment off by one bit", SIM,
+           "(k1 + 0xBB67AE8584CAA73B)", "(k1 + 0xBB67AE8584CAA73A)", (LANE_WORDS,)),
+    Mutant("the lanes past the last bulb left OFF", SIM,
+           "off = [_lanes((n - j + 3) // 4) for j in range(4)]", "off = [ones] * 4", (KERNELS,)),
+    Mutant("no stop at the first step with b = 1 in the Python kernel", SIM,
+           "if p == 1.0:", "if False:", (TEST_SIM + "test_certain_transition_turns_every_bulb_red",)),
+    Mutant("a Python-kernel threshold one word high", SIM,
+           "(math.ceil(p * 2**53) << 11)", "((math.ceil(p * 2**53) << 11) + 1)", (BOUNDARY_WORDS,)),
+    Mutant("the Python kernel below the budget only", SIM,
+           "n * len(b) <= _SMALL_BULB_STEPS", "n * len(b) < _SMALL_BULB_STEPS", (SELECTION,)),
     # the command line
     Mutant("the empty --out check removed", CLI,
            'if "" in (getattr(args, "out", None)', 'if False and "" in (getattr(args, "out", None)',

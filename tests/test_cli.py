@@ -16,6 +16,7 @@ from cumrisk import cli
 from cumrisk.cli import main
 from cumrisk.core import MAX_GROUPS, red_probability
 from cumrisk.io import emit_cohort, parse_cohort
+from cumrisk.simulate import _SMALL_BULB_STEPS
 from helpers import make_cohort, ramp_cohort
 
 DEMO = ("age_low,age_high,population,incidence,cancer_deaths\n"
@@ -358,18 +359,27 @@ import contextlib, io, sys
 import cumrisk
 from cumrisk import cli
 
-ramp, figs, empty = sys.argv[1:]
+ramp, figs, empty, over_budget = sys.argv[1:]
 argvs = (["compute", ramp], ["conditional", ramp, "--age", "40", "--horizon", "10"],
-         ["compare", ramp, ramp], ["figures", ramp, "--out", figs], ["simulate", empty])
+         ["compare", ramp, ramp], ["figures", ramp, "--out", figs], ["simulate", empty],
+         ["simulate", ramp, "--bulbs", "5000"])
 errors = io.StringIO()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):
     statuses = [cli.main(argv) for argv in argvs]
 # read before this probe imports json itself
 loaded = {name: name in sys.modules for name in ("numpy", "json", "dataclasses")}
+with contextlib.redirect_stdout(io.StringIO()):
+    statuses.append(cli.main(["simulate", ramp, "--bulbs", over_budget]))
+loaded["numpy over the budget"] = "numpy" in sys.modules
 import json
 print(json.dumps({"statuses": statuses, "errors": errors.getvalue(), **loaded, "all": cumrisk.__all__,
                   "unresolved": [name for name in cumrisk.__all__ if not hasattr(cumrisk, name)]}))
 """
+
+
+def _just_over_the_budget(cohort):
+    """The fewest bulbs whose run on ``cohort`` takes the numpy kernel, as a command-line argument."""
+    return str(_SMALL_BULB_STEPS // len(cohort) + 1)
 
 
 def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_file, tmp_path):
@@ -377,13 +387,16 @@ def test_only_simulate_imports_numpy_and_each_public_name_is_listed_once(ramp_fi
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(cumrisk.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ramp_file, str(tmp_path / "figs"), str(empty)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, ramp_file, str(tmp_path / "figs"), str(empty),
+                           _just_over_the_budget(ramp_cohort())],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     probe = json.loads(proc.stdout)
-    # the four CSV subcommands succeed; simulate refuses its input before it loads numpy
-    assert probe["statuses"] == [0, 0, 0, 0, 1]
+    # the four CSV subcommands succeed; simulate refuses its input before it loads numpy, and a run
+    # of 5000 bulbs on 18 groups, under the budget, loads none either; one just over the budget does
+    assert probe["statuses"] == [0, 0, 0, 0, 1, 0, 0]
     assert probe["errors"] == f"error: {str(empty)!r}: no data rows found\n"
     assert probe["numpy"] is False
+    assert probe["numpy over the budget"] is True
     assert probe["json"] is False
     assert probe["dataclasses"] is False
     assert len(probe["all"]) == len(set(probe["all"]))
@@ -449,7 +462,7 @@ class Spy:  # notes the setting at the moment numpy is first imported
 
 sys.meta_path.insert(0, Spy())
 with contextlib.redirect_stdout(io.StringIO()):
-    status = cli.main(["simulate", sys.argv[1], "--bulbs", "10"])
+    status = cli.main(["simulate", sys.argv[1], "--bulbs", sys.argv[2]])
 print(status, seen[:1])
 """
 
@@ -459,6 +472,6 @@ def test_simulate_sets_one_blas_thread_before_numpy_unless_the_user_chose(ramp_f
     env["PYTHONPATH"] = str(Path(cumrisk.__file__).parents[1])
     for preset, expected in ((None, "1"), ("3", "3")):
         child_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
-        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, ramp_file], capture_output=True,
-                              text=True, env=child_env, timeout=60, check=True)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, ramp_file, _just_over_the_budget(ramp_cohort())],
+                              capture_output=True, text=True, env=child_env, timeout=60, check=True)
         assert proc.stdout == f"0 [{expected!r}]\n"

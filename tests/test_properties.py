@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cumrisk.simulate as simulator
 from cumrisk.core import (
     NEWBORN_STATE,
     PROB_TOL,
@@ -24,11 +25,13 @@ from cumrisk.core import (
     transition_matrices,
 )
 from cumrisk.io import emit_cohort, emit_series, parse_cohort
+from cumrisk.simulate import SimulationConfig, simulate
 from helpers import (
     make_cohort,
     make_record,
     reference_comparison,
     reference_conditional_risk,
+    reference_off_counts,
     reference_propagate,
     reference_record_check,
     reference_value_check,
@@ -157,6 +160,18 @@ def test_compare_equals_the_difference_of_the_two_tables(a, b):
     assert (forward.steps_a, forward.steps_b) == (len(a), len(b))
     for f, r in zip(forward.rows, compare(b, a).rows):
         assert f[2:] == tuple(-delta for delta in r[2:])
+
+
+@given(edge_cohorts(), st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(deadline=None)
+def test_both_simulator_kernels_give_the_reference_counts(cohort, n_bulbs, seed):
+    # these runs are under the default budget, which gives them the Python kernel; a budget of 0, numpy's
+    config = SimulationConfig(cohort, n_bulbs, seed)
+    expected = reference_off_counts(cohort, n_bulbs, seed)
+    assert [step.off_count for step in simulate(config).steps] == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_SMALL_BULB_STEPS", 0)
+        assert [step.off_count for step in simulate(config).steps] == expected
 
 
 @given(edge_cohorts())

@@ -32,11 +32,20 @@ def test_zero_probability_keeps_every_bulb_off():
     assert [s.off_count for s in result.steps] == [500, 500, 500]
 
 
-def test_certain_transition_turns_every_bulb_red():
-    # 5 * 20 / 100 = 1: every bulb flips on the first step and stays red
+def test_certain_transition_turns_every_bulb_red(monkeypatch):
+    # 5 * 20 / 100 = 1: every bulb flips on the first step and stays red, so no step draws
+    drawn = []
+    real = simulator._philox_words
+
+    def noted(seed, t, first, blocks):
+        drawn.append(t)
+        return real(seed, t, first, blocks)
+
+    monkeypatch.setattr(simulator, "_philox_words", noted)
     cohort = make_cohort([(100.0, 20.0), (100.0, 0.0)])
     result = simulate(SimulationConfig(cohort=cohort, n_bulbs=400, seed=3))
     assert [s.red_count for s in result.steps] == [400, 400]
+    assert drawn == []
 
 
 def test_single_step_frequency_matches_binomial():
@@ -154,6 +163,11 @@ def _off_counts(result):
     return [step.off_count for step in result.steps]
 
 
+def _use_numpy_kernel(monkeypatch):
+    # a run of at most _SMALL_BULB_STEPS bulb-steps would take the Python kernel, on one thread
+    monkeypatch.setattr(simulator, "_SMALL_BULB_STEPS", 0)
+
+
 def _use_cpus(monkeypatch, n):
     # the simulator counts the CPUs in its affinity mask where the platform has one
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -166,6 +180,7 @@ def test_chunks_and_spans_change_no_count(monkeypatch, workers, n_bulbs):
     # chunks of 8 bulbs: n is one bulb, less than, exactly or just over one
     # chunk, and several chunks plus a remainder
     monkeypatch.setattr(simulator, "CHUNK", 8)
+    _use_numpy_kernel(monkeypatch)
     _use_cpus(monkeypatch, workers)
     cohort = ramp_cohort(b_high=0.5)
     for seed in (0, 2**64 - 1):
@@ -184,6 +199,7 @@ def test_full_size_chunks_match_the_one_shot_loop(monkeypatch, workers):
 
 def test_more_threads_than_cores_switching_often_lose_no_count(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 4)
+    _use_numpy_kernel(monkeypatch)
     _use_cpus(monkeypatch, 8)
     cohort = ramp_cohort(b_high=0.5)
     interval = sys.getswitchinterval()
@@ -226,6 +242,7 @@ def test_failing_worker_raises_in_the_caller(monkeypatch):
         return real(seed, b, start, stop)
 
     monkeypatch.setattr(simulator, "CHUNK", 4)
+    _use_numpy_kernel(monkeypatch)
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(simulator, "_off_counts", fail_after_first_span)
     monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -248,6 +265,7 @@ def test_failing_caller_span_joins_every_worker_then_raises(monkeypatch):
         return real(seed, b, start, stop)
 
     monkeypatch.setattr(simulator, "CHUNK", 4)
+    _use_numpy_kernel(monkeypatch)
     _use_cpus(monkeypatch, 3)
     monkeypatch.setattr(simulator, "_off_counts", fail_in_first_span)
     monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -285,6 +303,7 @@ def test_workers_follow_the_affinity_mask_not_the_cpu_count(monkeypatch):
         return real_thread(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "CHUNK", 4)
+    _use_numpy_kernel(monkeypatch)
     monkeypatch.setattr(simulator.threading, "Thread", counted_thread)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
     cohort = ramp_cohort(groups=3)
@@ -320,7 +339,7 @@ def test_raw_threshold_keeps_the_bulbs_random_keeps(b):
 
 @pytest.mark.parametrize("b", EDGE_PROBABILITIES)
 def test_raw_threshold_is_exact_at_the_boundary_words(monkeypatch, b):
-    # Random draws never land next to the threshold, so feed the kernel the
+    # Random draws never land next to the threshold, so feed both kernels the
     # words on both sides of each multiple of 2**11 near b * 2**64, plus the
     # extremes, and keep those whose Generator.random() value is at least b.
     def uniform(words):
@@ -343,9 +362,46 @@ def test_raw_threshold_is_exact_at_the_boundary_words(monkeypatch, b):
         def random_raw(self, size):
             return words[:size]
 
-    monkeypatch.setattr(simulator, "Philox", Words)
-    expected = uniform(words) >= b
-    assert simulator._off_counts(0, (b,), 0, len(words)) == [int(np.count_nonzero(expected))]
+    monkeypatch.setattr(np.random, "Philox", Words)  # where the numpy kernel looks it up
+    monkeypatch.setattr(simulator, "_philox_words", lambda seed, t, first, blocks: _lane_ints(words.tolist()))
+    expected = [int(np.count_nonzero(uniform(words) >= b))]
+    assert simulator._off_counts(0, (b,), 0, len(words)) == expected
+    assert simulator._lane_off_counts(0, (b,), 0, len(words)) == expected
+
+
+def _lane_ints(words):
+    """Raw words as the Python kernel holds them: word j of block k in lane k, bits 128k up, of int j."""
+    return tuple(sum(word << 128 * k for k, word in enumerate(words[j::4])) for j in range(4))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_lane_words_are_the_philox_raw_words(seed):
+    for t in (0, 1, 17, 999):
+        for first in (0, 1, 7, 2**40):
+            raw = Philox(key=np.array([seed, t], dtype=np.uint64)).advance(first).random_raw(4 * 5)
+            assert simulator._philox_words(seed, t, first, 5) == _lane_ints(raw.tolist()), (t, first)
+
+
+def test_a_run_at_the_budget_takes_the_python_kernel_and_one_bulb_step_more_numpy(monkeypatch):
+    taken = set()
+
+    def noted(name):
+        real = getattr(simulator, name)
+
+        def kernel(*args):
+            taken.add(name)
+            return real(*args)
+        return kernel
+
+    for name in ("_lane_off_counts", "_off_counts"):
+        monkeypatch.setattr(simulator, name, noted(name))
+    cohort = make_cohort([(1000.0, 20.0)])
+    budget = simulator._SMALL_BULB_STEPS
+    for n_bulbs, kernel in ((budget, "_lane_off_counts"), (budget + 1, "_off_counts")):
+        taken.clear()
+        result = simulate(SimulationConfig(cohort=cohort, n_bulbs=n_bulbs, seed=6))
+        assert taken == {kernel}
+        assert _off_counts(result) == reference_off_counts(cohort, n_bulbs, 6)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
