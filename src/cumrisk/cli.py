@@ -104,7 +104,7 @@ def _cmd_figures(args) -> str:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def figure(*columns):
-        return _emit_rows(columns, map(attrgetter(*columns), series.steps), "csv", {}, None)
+        return _emit_rows(columns, list(map(attrgetter(*columns), series.steps)), "csv", {}, None)
 
     outputs = {
         "fig4_transitions.csv": figure("t", "age_label", "b"),

@@ -10,8 +10,9 @@ unreadable CSV only its line, and a document without data rows neither.
 """
 
 import csv
+import operator
 from io import StringIO
-from itertools import chain
+from itertools import chain, compress, count, repeat
 
 from .core import (
     AgeGroupRecord,
@@ -21,6 +22,7 @@ from .core import (
     CumriskError,
     InvalidCohort,
     InvalidRecord,
+    RiskSeries,
     RiskStep,
 )
 
@@ -95,7 +97,7 @@ def _records(reader, lines: list[int]):
         # line of the row yielded
         for row in filter(None, reader):
             line = reader.line_num
-            cells = [cell.strip() for cell in row]
+            cells = list(map(str.strip, row))
             if not any(cells):  # whitespace or commas only
                 continue
             if positions is None:
@@ -152,8 +154,14 @@ def emit_cohort(cohort: Cohort) -> str:
     return _emit_rows(columns, rows, "csv", {}, None)
 
 
-def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> str:
-    """Render rows of values, one per column and in column order, as CSV or JSON.
+def _texts(values) -> list:
+    """Each value as the text CSV and JSON both write, the repr of a finite float or the str of an int, or itself."""
+    return [f"{value!r}" if type(value) is float and value - value == 0.0 else f"{value}" if type(value) is int
+            else value for value in values]
+
+
+def _emit_rows(columns, rows, format: str, head: dict, comment: str | None, texts=None) -> str:
+    """Render a sequence of rows of values, one per column and in column order, as CSV or JSON.
 
     Floats are written at full precision (str of a float is its shortest
     round-trip repr), so parsing them back recovers the exact doubles. JSON is
@@ -161,7 +169,8 @@ def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> s
     indent=2)`` writes (``head`` has no key "steps"): exact finite floats, ints
     and strs are written here and any other value by ``json.dumps``, with its
     spellings and its TypeError, so a list or dict value takes one line. CSV
-    writes a ``comment`` as a leading "# " line.
+    writes a ``comment`` as a leading "# " line. ``texts``, if given, is
+    ``_texts`` of the rows' values, so that no number is written again.
     """
     if format == "json":
         import json  # here, once per document, so that only JSON output loads json
@@ -171,22 +180,20 @@ def _emit_rows(columns, rows, format: str, head: dict, comment: str | None) -> s
         keys = [quote(column).replace("%", "%%") for column in columns]
         step = ",".join([f"\n      {key}: %s" for key in keys])
         step = f"    {{{step}\n    }}" if step else "    {}"
-        # the head's values, then each row's; the values the program's tables hold skip json.dumps
-        texts = [f"{value!r}" if type(value) is float and value - value == 0.0
-                 else f"{value}" if type(value) is int
-                 else quote(value) if type(value) is str else json.dumps(value)
-                 for value in chain(head.values(), *rows)]
+        # the head's values, then each row's; one that is its own text is a str, quoted here, or goes to json.dumps
+        values = [*head.values(), *chain.from_iterable(rows)]
+        texts = _texts(values) if texts is None else _texts(head.values()) + texts
+        for at in compress(count(), map(operator.is_, texts, values)):
+            texts[at] = quote(values[at]) if type(values[at]) is str else json.dumps(values[at])
         items = [f"  {quote(key)}: {text}" for key, text in zip(head, texts)]
         steps = ",\n".join([step] * len(rows)) % tuple(texts[len(head):])
         items.append(f'  "steps": [\n{steps}\n  ]' if steps else '  "steps": []')
         return "{\n" + ",\n".join(items) + "\n}\n"
     if format != "csv":
         raise CumriskError(f"unknown output format {format!r} (expected 'csv' or 'json')")
-    template = ",".join(["{}"] * len(columns))
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(columns))
-    lines.extend(template.format(*values) for values in rows)
-    return "\n".join(lines) + "\n"
+    template = ",".join(["{}"] * len(columns)) + "\n"  # str.format writes each value as format(value, "")
+    body = (template * len(rows)).format(*(chain.from_iterable(rows) if texts is None else texts))
+    return ("" if comment is None else f"# {comment}\n") + ",".join(columns) + "\n" + body
 
 
 def emit_series(series, format: str = "csv") -> str:
@@ -194,9 +201,18 @@ def emit_series(series, format: str = "csv") -> str:
 
     Columns come in the fixed ``SERIES_COLUMNS`` order, and floats at full
     precision: parsing them back recovers the exact doubles. Identical rows
-    produce byte-identical documents.
+    produce byte-identical documents. A RiskSeries keeps the texts of its
+    numbers from its first emission, which any later one writes again while
+    ``series.steps`` holds the very same tuples in the same order.
     """
-    return _emit_rows(SERIES_COLUMNS, series, format, {}, None)
+    if not isinstance(series, RiskSeries):
+        return _emit_rows(SERIES_COLUMNS, series, format, {}, None)
+    rows, kept = tuple(series.steps), getattr(series, "_kept", None)  # kept: (rows, texts), set as one pair
+    if kept is None or len(kept[0]) != len(rows) or not all(map(operator.is_, kept[0], rows)):
+        kept = rows, _texts(chain.from_iterable(rows))
+        if all(map(isinstance, rows, repeat(tuple))):  # a list row could change under its texts
+            series._kept = kept
+    return _emit_rows(SERIES_COLUMNS, rows, format, {}, None, kept[1])
 
 
 def emit_comparison(report: ComparisonReport, format: str = "csv") -> str:

@@ -117,16 +117,13 @@ def _lanes(count: int) -> int:
     return int.from_bytes(b"\1".ljust(16, b"\0") * count, "little")
 
 
-def _philox_words(seed: int, t: int, first: int, blocks: int) -> tuple[int, int, int, int]:
-    """Words 0-3 of the Philox4x64-10 blocks first..first+blocks-1 keyed by (seed, t), one int per word.
+def _philox_words(seed: int, t: int, x0: int, ones: int, mask: int) -> tuple[int, int, int, int]:
+    """Words 0-3 of the Philox4x64-10 blocks keyed by (seed, t) whose counters are the lanes of x0, one int per word.
 
-    Lane i of each int, bits 128i to 128i + 63, holds that word of the block that
-    Philox(key=[seed, t]).advance(first + i) draws next, whose counter is first + i + 1: numpy's
-    Philox increments it before each block. A lane's product with a multiplier fits in the lane.
+    Lane i of each int, bits 128i to 128i + 63, holds that word of the block whose counter is lane i of
+    x0; ``ones`` has a 1 at the low bit of each lane and ``mask`` the 64 low bits. A lane's product with
+    a multiplier fits in the lane.
     """
-    ones = _lanes(blocks)
-    mask = ones * (2**64 - 1)
-    x0 = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(first + 1, first + blocks + 1)), "little")
     x1 = x2 = x3 = 0
     k0, k1 = seed, t
     for _ in range(10):
@@ -139,8 +136,12 @@ def _philox_words(seed: int, t: int, first: int, blocks: int) -> tuple[int, int,
 
 def _lane_off_counts(seed: int, b: tuple[float, ...], start: int, stop: int) -> list[int]:
     """Per-step OFF counts of bulbs start..stop-1, from the words of _philox_words; start is a multiple of 4."""
-    n, blocks = stop - start, -(-(stop - start) // 4)
+    n, blocks, first = stop - start, -(-(stop - start) // 4), start // 4
     ones = _lanes(blocks)
+    # the counters, the same at every step: lane k holds first + k + 1, that of the block which
+    # Philox(key=[seed, t]).advance(first + k) draws next, as numpy's Philox increments it before each block
+    x0 = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(first + 1, first + blocks + 1)), "little")
+    mask = ones * (2**64 - 1)
     # bulb start + 4k + j draws word j of block k; the lanes past bulb stop - 1 start RED
     off = [_lanes((n - j + 3) // 4) for j in range(4)]
     counts = [0] * len(b)
@@ -149,7 +150,7 @@ def _lane_off_counts(seed: int, b: tuple[float, ...], start: int, stop: int) -> 
             break
         # a bulb stays OFF when its word w >= threshold, as in _off_counts: when w + 2**64 - threshold carries
         carry = (2**64 - (math.ceil(p * 2**53) << 11)) * ones
-        off = [lane & ((w + carry) >> 64) for lane, w in zip(off, _philox_words(seed, t, start // 4, blocks))]
+        off = [lane & ((w + carry) >> 64) for lane, w in zip(off, _philox_words(seed, t, x0, ones, mask))]
         counts[t] = sum(lane.bit_count() for lane in off)
     return counts
 

@@ -1,5 +1,6 @@
 """Builders for synthetic cohorts shared across the test modules."""
 
+import json
 import math
 import numbers
 import sys
@@ -15,10 +16,12 @@ from cumrisk.core import (
     ComparisonRow,
     CumriskError,
     InvalidRecord,
+    RiskStep,
     StateVector,
     TransitionMatrix,
     risk_series,
 )
+from cumrisk.io import SERIES_COLUMNS
 
 
 def make_record(index, population, incidence, cancer_deaths=0.0, other_deaths=None,
@@ -183,3 +186,25 @@ def reference_record_check(record):
     except CumriskError as exc:
         return type(exc), exc.index, exc.column, str(exc)
     return None
+
+
+def series_documents(rows) -> dict:
+    """The CSV and JSON documents of rows as the plain writers give them: format(value, "") and json.dumps."""
+    csv_lines = [",".join(SERIES_COLUMNS)] + [",".join(format(value, "") for value in row) for row in rows]
+    steps = [dict(zip(SERIES_COLUMNS, row)) for row in rows]
+    return {"csv": "\n".join(csv_lines) + "\n", "json": json.dumps({"steps": steps}, indent=2) + "\n"}
+
+
+class ReprFloat(float):
+    """A float subclass whose own repr json.dumps must not use; no text of it is kept."""
+
+    def __repr__(self):
+        return "ReprFloat()"
+
+
+# values a risk series of a cohort never holds, which each format writes its own way
+ODD_ROWS = [
+    RiskStep(1, "0-4", math.nan, math.inf, -math.inf, -0.0, True),
+    RiskStep(2, 'a,b "c"', ReprFloat(0.1), None, "100%", "two\nlines", 0.5),
+    RiskStep(True, None, 1e300, 5e-324, False, 2**53 + 1, "%s"),
+]

@@ -52,6 +52,11 @@ BUDGET = TEST_SIM + "test_config_budgets_bulb_steps"
 LANE_WORDS = TEST_SIM + "test_lane_words_are_the_philox_raw_words"
 KERNELS = "tests/test_properties.py::test_both_simulator_kernels_give_the_reference_counts"
 SELECTION = TEST_SIM + "test_a_run_at_the_budget_takes_the_python_kernel_and_one_bulb_step_more_numpy"
+TEST_IO = "tests/test_io.py::"
+TEST_CLI = "tests/test_cli.py::"
+KEPT = TEST_IO + "TestKeptTexts::"
+KEPT_EDITS = "tests/test_properties.py::test_a_series_writes_the_plain_documents_of_its_rows_through_any_edits"
+JSON_DUMPS = TEST_IO + "test_json_writer_gives_the_bytes_of_json_dumps"
 
 MUTANTS = (
     # the cohort's cap on records
@@ -163,7 +168,7 @@ MUTANTS = (
            (BUDGET, "tests/test_cli.py::TestSimulate::test_rejects_bulb_steps_over_the_budget_before_drawing")),
     # the Python kernel: its Philox words, its threshold and the run size that selects it
     Mutant("the lane counters starting at k, not k + 1", SIM,
-           "range(first + 1, first + blocks + 1)", "range(first, first + blocks)", (LANE_WORDS,)),
+           "range(first + 1, first + blocks + 1)", "range(first, first + blocks)", (SELECTION, KERNELS)),
     Mutant("a Weyl key increment off by one bit", SIM,
            "(k1 + 0xBB67AE8584CAA73B)", "(k1 + 0xBB67AE8584CAA73A)", (LANE_WORDS,)),
     Mutant("the lanes past the last bulb left OFF", SIM,
@@ -178,6 +183,40 @@ MUTANTS = (
     Mutant("the empty --out check removed", CLI,
            'if "" in (getattr(args, "out", None)', 'if False and "" in (getattr(args, "out", None)',
            ("tests/test_cli.py::test_an_empty_out_is_one_error_line_before_any_input_is_read",)),
+    Mutant("--out - written to a file named -", CLI,
+           'in (None, "-")', "in (None,)", (TEST_CLI + "TestCompute::test_out_dash_is_stdout",)),
+    Mutant("a bad byte at the start of a line counted on the line before", CLI,
+           '(data[:exc.start] + b".").splitlines()', "data[:exc.start].splitlines()",
+           (TEST_CLI + "TestCompute::test_a_bad_byte_that_starts_a_line_is_on_that_line",)),
+    # the reader and the cohort writer
+    Mutant("open read in lower case only", IO,
+           'column == "age_high" and raw.lower() == "open"', 'column == "age_high" and raw == "open"',
+           (TEST_IO + "TestParseCohort::test_open_does_not_hide_a_malformed_population",)),
+    Mutant("a row's width counting other_deaths", IO,
+           "width = max(positions[:5]) + 1", "width = max(positions) + 1",
+           (TEST_IO + "TestParseCohort::test_a_row_may_end_before_its_other_deaths_cell",)),
+    Mutant("a whole count of 2**53 written as an int", IO,
+           "abs(f) < 2**53", "abs(f) <= 2**53",
+           (TEST_IO + "TestEmitCohort::test_a_whole_count_from_2_53_up_keeps_its_point",)),
+    # the texts a series keeps of its numbers
+    Mutant("the kept texts reused without the identity check", IO,
+           "len(kept[0]) != len(rows) or not all(map(operator.is_, kept[0], rows))", "len(kept[0]) != len(rows)",
+           (KEPT + "test_an_edit_of_the_steps_is_written", KEPT_EDITS)),
+    Mutant("the kept rows compared by value", IO,
+           "not all(map(operator.is_, kept[0], rows))", "kept[0] != rows",
+           (KEPT + "test_an_edit_of_the_steps_is_written", KEPT_EDITS)),
+    Mutant("the texts kept from the live list, not the rows written", IO,
+           "kept = rows, _texts(chain.from_iterable(rows))", "kept = series.steps, _texts(chain.from_iterable(rows))",
+           (KEPT + "test_an_edit_of_the_steps_is_written", KEPT_EDITS)),
+    Mutant("a nan or inf text kept and written into JSON", IO,
+           "type(value) is float and value - value == 0.0 else", "type(value) is float else",
+           (KEPT + "test_odd_values_are_written_as_the_plain_writers_write_them", JSON_DUMPS)),
+    Mutant("texts kept for rows that are lists", IO,
+           "if all(map(isinstance, rows, repeat(tuple))):", "if True:",
+           (KEPT + "test_a_list_row_changed_in_place_is_written_as_it_now_is",)),
+    Mutant("the kept texts never reused", IO,
+           "if kept is None or len(kept[0])", "if True or len(kept[0])",
+           (KEPT + "test_a_later_emission_writes_the_kept_texts_until_a_row_changes",)),
 )
 
 EQUIVALENT = (

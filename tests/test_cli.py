@@ -122,6 +122,20 @@ class TestCompute:
             assert captured.err.startswith(f"error: {str(bad)!r}: line 4: not UTF-8 text ("), (newline, captured.err)
             assert len(captured.err.splitlines()) == 1
 
+    def test_a_bad_byte_that_starts_a_line_is_on_that_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(DEMO.encode() + b"\xe910,15,1000,1,0\n")
+        assert main(["compute", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {str(bad)!r}: line 4: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_out_dash_is_stdout(self, demo_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compute", demo_file]) == 0
+        expected = capsys.readouterr().out
+        assert main(["compute", demo_file, "--out", "-"]) == 0
+        assert capsys.readouterr().out == expected
+        assert not (tmp_path / "-").exists()
+
     def test_a_failed_read_names_the_file(self, demo_file, monkeypatch, capsys):
         # open succeeds and the read fails, as it can on a device or a network file system
         class Unreadable(io.BytesIO):

@@ -1,8 +1,12 @@
 """Tests for cohort parsing and CSV/JSON emission."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cumrisk
-from cumrisk.core import MAX_GROUPS, AgeGroupRecord, CumriskError, InvalidCohort, InvalidRecord, compare, risk_series
+from cumrisk.core import (
+    MAX_GROUPS,
+    AgeGroupRecord,
+    CumriskError,
+    InvalidCohort,
+    InvalidRecord,
+    RiskSeries,
+    compare,
+    risk_series,
+)
 from cumrisk.io import (
     COMPARISON_COLUMNS,
     OPTIONAL_COLUMNS,
@@ -24,7 +37,7 @@ from cumrisk.io import (
     emit_series,
     parse_cohort,
 )
-from helpers import make_cohort, ramp_cohort
+from helpers import ODD_ROWS, ReprFloat, make_cohort, ramp_cohort, series_documents
 
 HEADER = "age_low,age_high,population,incidence,cancer_deaths"
 READ_COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS  # the order in which a data row's cells are converted
@@ -111,6 +124,11 @@ class TestParseCohort:
         assert cohort.records[0].other_deaths == 7.0
         assert cohort.records[1].other_deaths is None
 
+    def test_a_row_may_end_before_its_other_deaths_cell(self):
+        # other_deaths is last in the header, so the row is as wide as the required columns need
+        cohort = parse_cohort(doc("0,5,1000,2,1,7", "5,10,1000,2,1", header=HEADER + ",other_deaths"))
+        assert [record.other_deaths for record in cohort.records] == [7.0, None]
+
     def test_fractional_counts_are_kept(self):
         cohort = parse_cohort(doc("0,5,1000.5,2.25,0.75"))
         record = cohort.records[0]
@@ -189,9 +207,11 @@ class TestParseCohort:
         assert (err.value.line, err.value.column) == (3, named)
         assert str(err.value) == f"line 3, column {named!r}: expected {expected}, got {cell!r}"
 
-    def test_open_does_not_hide_a_malformed_population(self):
+    @pytest.mark.parametrize("open_", ["open", "OPEN", "Open"])
+    def test_open_does_not_hide_a_malformed_population(self, open_):
+        # "open" is read in any case, so the fault named is the population's, not age_high's
         with pytest.raises(ParseError) as err:
-            parse_cohort(doc("0,open,12x34,2,1"))
+            parse_cohort(doc(f"0,{open_},12x34,2,1"))
         assert (err.value.line, err.value.column) == (2, "population")
         assert str(err.value) == "line 2, column 'population': expected a number, got '12x34'"
 
@@ -337,6 +357,12 @@ class TestEmitCohort:
         line = emit_cohort(make_cohort([(1000.0, 2.0)])).splitlines()[1]
         assert line == "0,5,1000,2,0"
 
+    def test_a_whole_count_from_2_53_up_keeps_its_point(self):
+        # below 2**53 every whole double is written as an int; from there on as its float repr
+        lines = emit_cohort(make_cohort([(2.0**53 - 1, 1.0), (2.0**53, 1.0), (2.0**53 + 2, 1.0)])).splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == [
+            "9007199254740991", "9007199254740992.0", "9007199254740994.0"]
+
     def test_open_group_token(self):
         text = emit_cohort(ramp_cohort(groups=2))
         assert text.splitlines()[2].split(",")[1] == "open"
@@ -405,6 +431,89 @@ class TestEmitSeries:
             emit_series(risk_series(ramp_cohort()), "xml")
 
 
+class TestKeptTexts:
+    """A RiskSeries keeps the texts of its numbers from its first emission; each document stays the plain one."""
+
+    def test_odd_values_are_written_as_the_plain_writers_write_them(self):
+        series = RiskSeries(list(ODD_ROWS))
+        expected = series_documents(ODD_ROWS)
+        for format in ("json", "csv", "csv", "json"):
+            assert emit_series(series, format) == expected[format] == emit_series(ODD_ROWS, format)
+
+    def test_a_later_emission_writes_the_kept_texts_until_a_row_changes(self):
+        series = risk_series(ramp_cohort())
+        emit_series(series, "csv")
+        kept = series._kept
+        assert emit_series(series, "json") == series_documents(series.steps)["json"]
+        assert series._kept is kept
+        series.steps[3] = ODD_ROWS[0]
+        assert emit_series(series, "json") == series_documents(series.steps)["json"]
+        assert series._kept is not kept
+
+    @pytest.mark.parametrize("edit", ["replace", "retype", "del", "append", "reassign", "swap"])
+    def test_an_edit_of_the_steps_is_written(self, edit):
+        series = risk_series(ramp_cohort())
+        other = risk_series(ramp_cohort(b_low=0.002)).steps
+        for first in ("csv", "json"):
+            emit_series(series, first)
+            if edit == "replace":
+                series.steps[5] = other[5]
+            elif edit == "retype":  # a row of equal values, one of which has another text
+                series.steps[0] = series.steps[0]._replace(t=float(series.steps[0].t))
+            elif edit == "del":
+                del series.steps[0]
+            elif edit == "append":
+                series.steps.append(other[0])
+            elif edit == "reassign":
+                series.steps = other[:len(series.steps)]
+            else:
+                series.steps[0], series.steps[1] = series.steps[1], series.steps[0]
+            for format in ("csv", "json"):
+                assert emit_series(series, format) == series_documents(series.steps)[format], (first, format)
+
+    def test_a_list_row_changed_in_place_is_written_as_it_now_is(self):
+        rows = [list(step) for step in risk_series(ramp_cohort()).steps]
+        series = RiskSeries(rows)
+        emit_series(series, "csv")
+        rows[2][2] = 0.25
+        assert emit_series(series, "json") == series_documents(rows)["json"]
+        assert json.loads(emit_series(series, "json"))["steps"][2]["b"] == 0.25
+
+    def test_threads_writing_one_fresh_series_get_the_same_bytes(self):
+        series = risk_series(ramp_cohort())
+        expected = series_documents(series.steps)
+        start = threading.Barrier(4)
+        documents = []
+
+        def write(formats):
+            start.wait()
+            documents.extend((format, emit_series(series, format)) for format in formats * 50)
+
+        threads = [threading.Thread(target=write, args=(formats,))
+                   for formats in (("csv", "json"), ("json", "csv"), ("csv",), ("json",))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # so that the threads switch inside an emission
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(documents) == 300
+        assert all(document == expected[format] for format, document in documents)
+
+    def test_a_copy_or_a_pickle_of_a_written_series_writes_the_same_documents(self):
+        series = risk_series(ramp_cohort())
+        written = {format: emit_series(series, format) for format in ("csv", "json")}
+        for twin in (copy.copy(series), pickle.loads(pickle.dumps(series))):
+            assert {format: emit_series(twin, format) for format in ("json", "csv")} == written
+            twin.steps = twin.steps[:-1]
+            assert emit_series(twin, "csv") == "".join(written["csv"].splitlines(keepends=True)[:-1])
+        assert {format: emit_series(series, format) for format in ("csv", "json")} == written
+
+
 class TestEmitComparison:
     def test_zero_deltas_for_identical_cohorts(self):
         report = compare(ramp_cohort(), ramp_cohort())
@@ -437,13 +546,6 @@ class TestEmitComparison:
         assert payload["steps_b"] == 4
         assert payload["truncated"] is True
         assert len(payload["steps"]) == 4
-
-
-class ReprFloat(float):
-    """A float subclass whose own repr json.dumps must not use."""
-
-    def __repr__(self):
-        return "ReprFloat()"
 
 
 JSON_SCALARS = st.one_of(

@@ -27,6 +27,7 @@ from cumrisk.core import (
 from cumrisk.io import emit_cohort, emit_series, parse_cohort
 from cumrisk.simulate import SimulationConfig, simulate
 from helpers import (
+    ODD_ROWS,
     make_cohort,
     make_record,
     reference_comparison,
@@ -35,6 +36,7 @@ from helpers import (
     reference_propagate,
     reference_record_check,
     reference_value_check,
+    series_documents,
 )
 
 TOL = 1e-12
@@ -135,6 +137,34 @@ def test_series_emission_round_trips(cohort):
         assert float(cells[2]) == step.b
         assert float(cells[5]) == step.p_red
         assert float(cells[6]) == step.p_off
+
+
+@given(st.one_of(cohorts(), edge_cohorts()), edge_cohorts(), st.data())
+@settings(deadline=None)
+def test_a_series_writes_the_plain_documents_of_its_rows_through_any_edits(cohort, other, data):
+    # emissions in any order between edits of the steps; the pool holds rows of another cohort, rows equal
+    # to the series' own whose t is a float (equal values, other texts), and rows of odd values
+    series = risk_series(cohort)
+    pool = (series.steps + risk_series(other).steps + [step._replace(t=float(step.t)) for step in series.steps]
+            + ODD_ROWS)
+    rows = st.sampled_from(pool)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        edit = data.draw(st.sampled_from(("csv", "json", "append", "replace", "del", "reassign")))
+        if edit in ("csv", "json"):
+            document = emit_series(series, edit)
+            assert document == emit_series(list(series.steps), edit) == series_documents(series.steps)[edit]
+        elif edit == "append":
+            series.steps.append(data.draw(rows))
+        elif edit == "reassign":
+            series.steps = data.draw(st.lists(rows, max_size=20))
+        elif series.steps:
+            at = data.draw(st.integers(min_value=0, max_value=len(series.steps) - 1))
+            if edit == "del":
+                del series.steps[at]
+            else:
+                series.steps[at] = data.draw(rows)
+    for format in ("csv", "json"):
+        assert emit_series(series, format) == series_documents(series.steps)[format]
 
 
 @given(cohorts(max_groups=8), cohorts(max_groups=8))

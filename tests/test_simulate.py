@@ -37,9 +37,9 @@ def test_certain_transition_turns_every_bulb_red(monkeypatch):
     drawn = []
     real = simulator._philox_words
 
-    def noted(seed, t, first, blocks):
+    def noted(seed, t, *lanes):
         drawn.append(t)
-        return real(seed, t, first, blocks)
+        return real(seed, t, *lanes)
 
     monkeypatch.setattr(simulator, "_philox_words", noted)
     cohort = make_cohort([(100.0, 20.0), (100.0, 0.0)])
@@ -363,7 +363,7 @@ def test_raw_threshold_is_exact_at_the_boundary_words(monkeypatch, b):
             return words[:size]
 
     monkeypatch.setattr(np.random, "Philox", Words)  # where the numpy kernel looks it up
-    monkeypatch.setattr(simulator, "_philox_words", lambda seed, t, first, blocks: _lane_ints(words.tolist()))
+    monkeypatch.setattr(simulator, "_philox_words", lambda seed, t, *lanes: _lane_ints(words.tolist()))
     expected = [int(np.count_nonzero(uniform(words) >= b))]
     assert simulator._off_counts(0, (b,), 0, len(words)) == expected
     assert simulator._lane_off_counts(0, (b,), 0, len(words)) == expected
@@ -376,10 +376,14 @@ def _lane_ints(words):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_lane_words_are_the_philox_raw_words(seed):
+    ones = simulator._lanes(5)
     for t in (0, 1, 17, 999):
         for first in (0, 1, 7, 2**40):
+            # the block Philox(...).advance(first + k) draws next has counter first + k + 1
+            counters = sum((first + k + 1) << 128 * k for k in range(5))
             raw = Philox(key=np.array([seed, t], dtype=np.uint64)).advance(first).random_raw(4 * 5)
-            assert simulator._philox_words(seed, t, first, 5) == _lane_ints(raw.tolist()), (t, first)
+            words = simulator._philox_words(seed, t, counters, ones, ones * (2**64 - 1))
+            assert words == _lane_ints(raw.tolist()), (t, first)
 
 
 def test_a_run_at_the_budget_takes_the_python_kernel_and_one_bulb_step_more_numpy(monkeypatch):
